@@ -33,12 +33,14 @@ from .security import (encrypted_density, attack_asymptote, attack_success,
                        linear_ensemble, parse_ensemble, simulate_attack,
                        trace_distance, von_neumann_entropy)
 from .walk import (NoiseModel, bhattacharyya_fidelity, occupation_to_bits,
-                   protocol_distribution, run_protocol, unitary_from_payload,
-                   unitary_to_payload)
+                   run_protocol, unitary_from_payload, unitary_to_payload)
 
 BUILTIN_DEVICES = ("identity4", "u1", "u2")
 ATTACK_CURVE_D = (2, 3, 4, 6, 12)
 HEDGE_ENSEMBLES = ("linear:180", "poincare:64,64,64")
+# largest entrywise move a device file may take on projection to the nearest
+# unitary; the built-ins move 0.109 (u1) and 0.063 (u2)
+MAX_PROJECTION_DISTANCE = 0.25
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -52,8 +54,10 @@ def thread_count() -> int:
         try:
             n = int(raw)
         except ValueError:
-            raise ValueError(f"QHE_THREADS must be an integer, got {raw!r}") from None
-        return max(1, n)
+            n = 0
+        if n < 1:
+            raise ValueError(f"QHE_THREADS must be an integer >= 1, got {raw!r}")
+        return n
     return max(1, min(4, os.cpu_count() or 1))
 
 
@@ -71,6 +75,7 @@ def load_device(name_or_path: str) -> Device:
 
     Printed device matrices are rounded, so the stored matrix is projected to
     the closest unitary on load; projection_distance records how far it moved.
+    A device that would move more than MAX_PROJECTION_DISTANCE is rejected.
     """
     if name_or_path in BUILTIN_DEVICES:
         text = resources.files("qhewalk").joinpath(f"devices/{name_or_path}.json").read_text()
@@ -85,6 +90,9 @@ def load_device(name_or_path: str) -> Device:
     raw = unitary_from_payload(json.loads(text))
     exact = unitarize(raw)
     distance = float(np.max(np.abs(exact - raw)))
+    if distance > MAX_PROJECTION_DISTANCE:
+        raise ValueError(f"device {name!r} is not close to unitary: projection_distance "
+                         f"{distance:.3g} > {MAX_PROJECTION_DISTANCE}")
     return Device(name, raw.shape[0], exact, distance, source)
 
 
@@ -162,7 +170,7 @@ def cmd_walk(args) -> int:
     result = run_protocol(device.unitary, bits, key, args.shots, rng,
                           noise=noise, threads=thread_count())
 
-    exact_occ = protocol_distribution(device.unitary, bits, noise)
+    exact_occ = result.exact_occupations
     collision_probability = sum(p for occ, p in exact_occ.items() if any(c > 1 for c in occ))
     kept = 1.0 - collision_probability
     exact_bits = {}

@@ -5,12 +5,14 @@ re-unitarization) funnels through the routines in this module.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
 
 RYSER_MAX_DIM = 24
+RYSER_BLOCK_COLS = 12
 NAIVE_MAX_DIM = 8
 
 
@@ -45,11 +47,13 @@ def _as_square(matrix, name: str) -> np.ndarray:
 
 
 def permanent(matrix) -> complex:
-    """Matrix permanent via the Ryser formula with Gray-code subset updates.
+    """Matrix permanent via the Ryser formula, summed over column subsets in bulk.
 
-    Cost is O(2^n * n): the running column-subset sums are updated by a
-    single column add/subtract per Gray-code step. Practical up to n ~ 20;
-    dimensions above RYSER_MAX_DIM are rejected.
+    Per(A) = (-1)^n sum_S (-1)^|S| prod_i sum_{j in S} A[i, j]. The row sums of
+    every subset of the low RYSER_BLOCK_COLS columns come from one product with
+    a cached 0/1 selection matrix; a loop over the (at most 2^12) subsets of
+    the remaining columns adds their row sums, so memory stays bounded.
+    Cost is O(2^n * n); dimensions above RYSER_MAX_DIM are rejected.
     """
     M = _as_square(matrix, "matrix")
     n = M.shape[0]
@@ -57,24 +61,23 @@ def permanent(matrix) -> complex:
         raise DimensionError(f"permanent limited to n <= {RYSER_MAX_DIM}, got {n}")
     if n == 0:
         return complex(1.0)
-    row_sums = np.zeros(n, dtype=complex)
+    low = min(n, RYSER_BLOCK_COLS)
+    select, signs = _subsets(low)
+    high_select, high_signs = _subsets(n - low)
+    low_sums = M[:, :low] @ select.T
     total = 0j
-    gray = 0
-    size = 0
-    for k in range(1, 1 << n):
-        g = k ^ (k >> 1)
-        flipped = g ^ gray
-        j = flipped.bit_length() - 1
-        if g & flipped:
-            row_sums += M[:, j]
-            size += 1
-        else:
-            row_sums -= M[:, j]
-            size -= 1
-        gray = g
-        term = np.prod(row_sums)
-        total += -term if (size & 1) else term
+    for offset, sign in zip(high_select @ M[:, low:].T, high_signs):
+        total += sign * (np.prod(low_sums + offset[:, None], axis=0) @ signs)
     return complex(total if (n & 1) == 0 else -total)
+
+
+@lru_cache(maxsize=RYSER_BLOCK_COLS + 1)
+def _subsets(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """0/1 matrix whose rows select every subset of k columns, and each subset's (-1)^|S|."""
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    select, signs = bits.astype(complex), 1.0 - 2.0 * (bits.sum(axis=1) & 1)
+    select.flags.writeable = signs.flags.writeable = False  # shared by every caller
+    return select, signs
 
 
 def permanent_naive(matrix) -> complex:

@@ -108,19 +108,23 @@ def _occupation_factorial(occ) -> float:
     return out
 
 
-def _distribution(U: np.ndarray, source: tuple[int, ...], interference: bool) -> dict[tuple[int, ...], float]:
+def _distribution(U, input_occupation, interference: bool) -> dict[tuple[int, ...], float]:
     """Transition law P(source -> T) over all n-photon output multisets.
 
     interference=True gives the bosonic law |Per(U_ST)|^2/(s! t!); False gives
     the distinguishable-photon law Per(|U_ST|^2)/(s! t!), which is the same
     expression with the interference cross terms removed.
     """
-    m = len(source)
+    source = as_occupation(input_occupation)
+    U = _check_unitary(U)
+    if len(source) != U.shape[0]:
+        raise DimensionError(f"occupation length {len(source)} != mode count {U.shape[0]}")
     n = sum(source)
+    if n > MAX_WALKERS:
+        raise ContractError(f"at most {MAX_WALKERS} photons supported, got {n}")
     s_fact = _occupation_factorial(source)
-    absq = np.abs(U) ** 2
     probs = {}
-    for target in occupation_states(m, n):
+    for target in occupation_states(len(source), n):
         sub = _transition_submatrix(U, source, target)
         if interference:
             p = abs(permanent(sub)) ** 2
@@ -135,32 +139,37 @@ def _distribution(U: np.ndarray, source: tuple[int, ...], interference: bool) ->
 
 def output_distribution(U, input_occupation) -> dict[tuple[int, ...], float]:
     """Exact bosonic output distribution of n indistinguishable walkers."""
-    source = as_occupation(input_occupation)
-    M = _check_unitary(U)
-    if len(source) != M.shape[0]:
-        raise DimensionError(f"occupation length {len(source)} != mode count {M.shape[0]}")
-    if sum(source) > MAX_WALKERS:
-        raise ContractError(f"at most {MAX_WALKERS} photons supported, got {sum(source)}")
-    return _distribution(M, source, interference=True)
+    return _distribution(U, input_occupation, interference=True)
 
 
 def classical_output_distribution(U, input_occupation) -> dict[tuple[int, ...], float]:
     """Output distribution for fully distinguishable photons (no interference)."""
-    source = as_occupation(input_occupation)
-    M = _check_unitary(U)
-    if len(source) != M.shape[0]:
-        raise DimensionError(f"occupation length {len(source)} != mode count {M.shape[0]}")
-    if sum(source) > MAX_WALKERS:
-        raise ContractError(f"at most {MAX_WALKERS} photons supported, got {sum(source)}")
-    return _distribution(M, source, interference=False)
+    return _distribution(U, input_occupation, interference=False)
 
 
-def _visibility_blend(U, source, visibility: float) -> dict[tuple[int, ...], float]:
+def _visibility_blend(U, source, noise: NoiseModel | None) -> dict[tuple[int, ...], float]:
     quantum = output_distribution(U, source)
+    visibility = noise.hom_visibility if noise is not None else 1.0
     if visibility >= 1.0:
         return quantum
     classical = classical_output_distribution(U, source)
     return {t: visibility * quantum[t] + (1.0 - visibility) * classical[t] for t in quantum}
+
+
+def _with_spurious(law: dict, noise: NoiseModel | None) -> dict[tuple[int, ...], float]:
+    """Admix the uniform spurious-shot law that _sample_batch applies shot by shot."""
+    rate = noise.higher_order_rate if noise is not None else 0.0
+    if rate <= 0.0:
+        return law
+    return {t: (1.0 - rate) * p + rate / len(law) for t, p in law.items()}
+
+
+def _device_and_bits(U, plaintext) -> tuple[np.ndarray, tuple[int, ...]]:
+    bits = as_bits(plaintext)
+    M = _check_unitary(U)
+    if len(bits) != M.shape[0]:
+        raise DimensionError(f"plaintext length {len(bits)} != mode count {M.shape[0]}")
+    return M, bits
 
 
 def occupation_to_bits(occ: tuple[int, ...]) -> str:
@@ -175,27 +184,19 @@ def protocol_distribution(U, plaintext, noise: NoiseModel | None = None) -> dict
     uniform spurious-shot admixture. With no noise this is plain
     output_distribution of the walker pattern.
     """
-    bits = as_bits(plaintext)
-    M = _check_unitary(U)
-    if len(bits) != M.shape[0]:
-        raise DimensionError(f"plaintext length {len(bits)} != mode count {M.shape[0]}")
-    visibility = noise.hom_visibility if noise is not None else 1.0
-    law = _visibility_blend(M, walker_pattern(bits), visibility)
-    rate = noise.higher_order_rate if noise is not None else 0.0
-    if rate > 0.0:
-        k = len(law)
-        law = {t: (1.0 - rate) * p + rate / k for t, p in law.items()}
-    return law
+    M, bits = _device_and_bits(U, plaintext)
+    return _with_spurious(_visibility_blend(M, walker_pattern(bits), noise), noise)
 
 
 @dataclass
 class ProtocolResult:
-    """Empirical tallies of one protocol run."""
+    """Empirical tallies of one protocol run, and the exact law they were drawn from."""
 
     shots: int
     occupation_counts: dict[tuple[int, ...], int]
     collisions: int = 0
     bitstring_counts: dict[str, int] = field(default_factory=dict)
+    exact_occupations: dict[tuple[int, ...], float] = field(default_factory=dict)
 
     def empirical_occupations(self) -> dict[tuple[int, ...], float]:
         return {occ: c / self.shots for occ, c in self.occupation_counts.items() if c}
@@ -224,16 +225,14 @@ def run_protocol(U, plaintext, key: PolarizationKey, shots: int, random_source,
                  noise: NoiseModel | None = None, threads: int = 1) -> ProtocolResult:
     """Run the encrypted walk end to end and tally decoded outcomes.
 
-    Each shot draws a walker output occupation and an independent dummy
-    occupation; after decryption only the walker occupation is recorded.
+    Each shot draws a walker output occupation. Dummy photons cross the same
+    device, but decryption discards their outcome, so they are not sampled.
     Occupations with a doubly-occupied mode go to the collision tally and are
     excluded from the logical bit-string view. Shots are split over
     SHOT_BATCHES child random streams so results do not depend on `threads`.
+    The result carries the exact recorded law, equal to protocol_distribution.
     """
-    bits = as_bits(plaintext)
-    M = _check_unitary(U)
-    if len(bits) != M.shape[0]:
-        raise DimensionError(f"plaintext length {len(bits)} != mode count {M.shape[0]}")
+    M, bits = _device_and_bits(U, plaintext)
     if shots < 1:
         raise ValueError("shots must be >= 1")
 
@@ -243,20 +242,10 @@ def run_protocol(U, plaintext, key: PolarizationKey, shots: int, random_source,
         if abs(p0 - (1.0 - bit)) > 1e-9:
             raise ContractError("key failed to decrypt its own encryption")
 
-    visibility = noise.hom_visibility if noise is not None else 1.0
-    walker_law = _visibility_blend(M, walker_pattern(bits), visibility)
+    walker_law = _visibility_blend(M, walker_pattern(bits), noise)
     outcomes = list(walker_law)
     cumulative = np.cumsum([walker_law[t] for t in outcomes])
     cumulative[-1] = 1.0
-
-    dummies = dummy_pattern(bits)
-    dummy_cumulative = None
-    dummy_outcomes = None
-    if sum(dummies) > 0:
-        dummy_law = _visibility_blend(M, dummies, visibility)
-        dummy_outcomes = list(dummy_law)
-        dummy_cumulative = np.cumsum([dummy_law[t] for t in dummy_outcomes])
-        dummy_cumulative[-1] = 1.0
 
     batches = min(SHOT_BATCHES, shots)
     sizes = [shots // batches + (1 if b < shots % batches else 0) for b in range(batches)]
@@ -264,11 +253,7 @@ def run_protocol(U, plaintext, key: PolarizationKey, shots: int, random_source,
 
     def one_batch(args):
         rng, size = args
-        counts = _sample_batch(rng, outcomes, cumulative, size, noise)
-        if dummy_cumulative is not None:
-            # dummies propagate through the same device; sampled, then discarded
-            _sample_batch(rng, dummy_outcomes, dummy_cumulative, size, noise)
-        return counts
+        return _sample_batch(rng, outcomes, cumulative, size, noise)
 
     jobs = list(zip(streams, sizes))
     if threads > 1:
@@ -278,7 +263,8 @@ def run_protocol(U, plaintext, key: PolarizationKey, shots: int, random_source,
         batch_counts = [one_batch(j) for j in jobs]
     totals = np.sum(batch_counts, axis=0)
 
-    result = ProtocolResult(shots=shots, occupation_counts={}, collisions=0)
+    result = ProtocolResult(shots=shots, occupation_counts={}, collisions=0,
+                            exact_occupations=_with_spurious(walker_law, noise))
     for occ, c in zip(outcomes, totals):
         c = int(c)
         if c == 0:
@@ -317,7 +303,7 @@ def unitary_from_payload(payload) -> np.ndarray:
         raise DeviceFormatError("device payload must be an object with 'm' and 'unitary'")
     m = payload["m"]
     rows = payload["unitary"]
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise DeviceFormatError(f"'m' must be a positive integer, got {m!r}")
     if not isinstance(rows, list) or len(rows) != m:
         raise DeviceFormatError(f"'unitary' must be a list of {m} rows")
@@ -327,8 +313,9 @@ def unitary_from_payload(payload) -> np.ndarray:
             raise DeviceFormatError(f"row {j} must have {m} entries")
         for i, cell in enumerate(row):
             if (not isinstance(cell, list) or len(cell) != 2
-                    or not all(isinstance(v, (int, float)) for v in cell)):
-                raise DeviceFormatError(f"entry ({j},{i}) must be [re, im]")
+                    or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                               for v in cell)):
+                raise DeviceFormatError(f"'unitary' entry ({j},{i}) must be [re, im] numbers")
             out[j, i] = complex(cell[0], cell[1])
     if not np.all(np.isfinite(out)):
         raise DeviceFormatError("device entries must be finite")

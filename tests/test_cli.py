@@ -69,6 +69,31 @@ class TestWalkCommand:
         assert "bogus" in proc.stderr
 
 
+class TestDeviceFiles:
+    def write(self, tmp_path, payload):
+        path = tmp_path / "device.json"
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    def test_boolean_fields_exit_2(self, tmp_path):
+        for payload, field in (({"m": True, "unitary": [[[1, 0]]]}, "'m'"),
+                               ({"m": 1, "unitary": [[[True, False]]]}, "'unitary' entry")):
+            proc = run_cli("walk", "--device", self.write(tmp_path, payload),
+                           "--input", "0", "--shots", "10")
+            assert proc.returncode == 2
+            assert field in proc.stderr
+            assert "Traceback" not in proc.stderr
+
+    def test_far_from_unitary_exits_2(self, tmp_path):
+        payload = {"m": 3, "unitary": [[[0.001 if i == j else 0.0, 0.0] for i in range(3)]
+                                       for j in range(3)]}
+        proc = run_cli("walk", "--device", self.write(tmp_path, payload),
+                       "--input", "011", "--shots", "10")
+        assert proc.returncode == 2
+        assert "projection_distance" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestAttackCommand:
     def test_single_basis_always_succeeds(self):
         report = run_json("attack", "--m", "4", "--d", "1", "--trials", "1000")
@@ -205,6 +230,14 @@ class TestDeterminism:
         argv = ("walk", "--device", "u2", "--input", "1001", "--shots", "20000", "--seed", "2")
         outputs = {run_cli(*argv, threads=t).stdout for t in (1, 2, 8)}
         assert len(outputs) == 1
+
+    def test_thread_count_below_one_exits_2(self):
+        argv = ("walk", "--device", "u2", "--input", "1001", "--shots", "20")
+        for threads in (0, -4, "x"):
+            proc = run_cli(*argv, threads=threads)
+            assert proc.returncode == 2
+            assert "QHE_THREADS" in proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_out_flag_writes_file(self, tmp_path):
         path = tmp_path / "report.json"

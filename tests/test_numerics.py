@@ -15,6 +15,35 @@ U1_PRINTED = np.array([
 ])
 
 
+def permanent_gray_code(M) -> complex:
+    """Ryser formula by single-column Gray-code updates of the row sums.
+
+    The slow route the subset-vectorized permanent is checked against.
+    """
+    M = np.asarray(M, dtype=complex)
+    n = M.shape[0]
+    if n == 0:
+        return complex(1.0)
+    row_sums = np.zeros(n, dtype=complex)
+    total = 0j
+    gray = 0
+    size = 0
+    for k in range(1, 1 << n):
+        g = k ^ (k >> 1)
+        flipped = g ^ gray
+        j = flipped.bit_length() - 1
+        if g & flipped:
+            row_sums += M[:, j]
+            size += 1
+        else:
+            row_sums -= M[:, j]
+            size -= 1
+        gray = g
+        term = np.prod(row_sums)
+        total += -term if (size & 1) else term
+    return complex(total if (n & 1) == 0 else -total)
+
+
 class TestPermanent:
     def test_empty_matrix_is_one(self):
         assert permanent(np.zeros((0, 0))) == 1.0 + 0.0j
@@ -39,6 +68,14 @@ class TestPermanent:
         for n in range(1, 6):
             A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             assert permanent(A) == pytest.approx(permanent_by_definition(A), rel=1e-12)
+
+    def test_matches_gray_code_route(self):
+        # n > RYSER_BLOCK_COLS also runs the loop over high-column subsets
+        rng = np.random.default_rng(29)
+        for n in range(1, 17):
+            A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            a, b = permanent(A), permanent_gray_code(A)
+            assert abs(a - b) <= 1e-10 * abs(b), n
 
     def test_naive_agrees_with_ryser(self):
         rng = np.random.default_rng(3)

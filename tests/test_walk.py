@@ -199,6 +199,23 @@ class TestRunProtocol:
         assert a.occupation_counts == b.occupation_counts
         assert a.collisions == b.collisions
 
+    def test_result_carries_protocol_distribution(self):
+        for noise in (None, NoiseModel(0.9, 0.01), NoiseModel(0.5, 0.0)):
+            result = run_protocol(U1, "0100", linear_key(0, 1), 100, make_rng(2), noise=noise)
+            assert result.exact_occupations == protocol_distribution(U1, "0100", noise)
+
+    def test_pinned_counts_with_noise(self):
+        # counts recorded when each shot also drew a (discarded) dummy sample:
+        # every batch stream draws its walker samples first, so dropping the
+        # dummy draw leaves the recorded counts unchanged
+        result = run_protocol(U1, "0101", linear_key(0, 1), 3000, make_rng(5),
+                              noise=NoiseModel(0.9, 0.01))
+        assert result.occupation_counts == {
+            (0, 0, 0, 2): 51, (0, 0, 1, 1): 250, (0, 0, 2, 0): 569, (0, 1, 0, 1): 100,
+            (0, 1, 1, 0): 233, (0, 2, 0, 0): 54, (1, 0, 0, 1): 239, (1, 0, 1, 0): 829,
+            (1, 1, 0, 0): 150, (2, 0, 0, 0): 525}
+        assert result.collisions == 1199
+
     def test_same_seed_same_counts(self):
         a = run_protocol(U1, "0101", linear_key(0, 1), 3000, make_rng(5))
         b = run_protocol(U1, "0101", linear_key(0, 1), 3000, make_rng(5))
@@ -241,6 +258,8 @@ class TestDevicePayload:
             {"m": 2, "unitary": [[[1, 0]]]},
             {"m": 2, "unitary": [[[1, 0], [0]], [[0, 0], [1, 0]]]},
             {"m": 2, "unitary": [[[1, 0], ["x", 0]], [[0, 0], [1, 0]]]},
+            {"m": True, "unitary": [[[1, 0]]]},
+            {"m": 1, "unitary": [[[True, False]]]},
         ):
             with pytest.raises(DeviceFormatError):
                 unitary_from_payload(corrupt)
