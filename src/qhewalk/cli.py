@@ -172,7 +172,8 @@ def cmd_walk(args) -> int:
 
     exact_occ = result.exact_occupations
     collision_probability = sum(p for occ, p in exact_occ.items() if any(c > 1 for c in occ))
-    kept = 1.0 - collision_probability
+    # summed directly: 1 - collision_probability cancels when collisions dominate
+    kept = sum(p for occ, p in exact_occ.items() if not any(c > 1 for c in occ))
     exact_bits = {}
     if kept > 0.0:
         exact_bits = {occupation_to_bits(occ): p / kept
@@ -239,13 +240,8 @@ def cmd_attack(args) -> int:
         if not ds:
             raise ValueError("no d values given (use --asymptote-only to skip the curve)")
 
-    curve = []
-    for d in ds:
-        exact = attack_success(args.m, d)
-        empirical = simulate_attack(args.m, d, plaintext, args.trials, rng)
-        stderr = float(np.sqrt(empirical * (1.0 - empirical) / args.trials))
-        curve.append({"d": d, "p_exact": float(exact), "p_empirical": float(empirical),
-                      "stderr": stderr, "trials": int(args.trials)})
+    curve = [dict(row, trials=int(args.trials))
+             for row in _attack_curve(args.m, ds, plaintext, args.trials, rng)]
 
     report = {
         "command": "attack",
@@ -267,6 +263,17 @@ def cmd_attack(args) -> int:
     else:
         _emit(_json_text(report), args.out)
     return 0
+
+
+def _attack_curve(m: int, ds, plaintext, trials: int, rng) -> list[dict]:
+    """Exact and simulated attack success for each key-set size d, drawn in order."""
+    curve = []
+    for d in ds:
+        empirical = simulate_attack(m, d, plaintext, trials, rng)
+        curve.append({"d": d, "p_exact": float(attack_success(m, d)),
+                      "p_empirical": float(empirical),
+                      "stderr": float(np.sqrt(empirical * (1.0 - empirical) / trials))})
+    return curve
 
 
 def _hamming_trace_distances(m: int, ensemble) -> dict:
@@ -313,22 +320,16 @@ def cmd_security(args) -> int:
     if args.explicit:
         report["holevo_explicit_bits"] = float(holevo(m, ensemble, explicit=True))
 
-    curve = []
-    for d in ATTACK_CURVE_D:
-        exact = attack_success(m, d)
-        empirical = simulate_attack(m, d, "0" * m, args.attack_trials, rng)
-        stderr = float(np.sqrt(empirical * (1.0 - empirical) / args.attack_trials))
-        curve.append({"d": d, "p_exact": float(exact),
-                      "p_empirical": float(empirical), "stderr": stderr})
-    report["attack_curve"] = curve
+    report["attack_curve"] = _attack_curve(m, ATTACK_CURVE_D, "0" * m, args.attack_trials, rng)
 
-    report["trace_distances"] = _hamming_trace_distances(m, ensemble)
+    distances = _hamming_trace_distances(m, ensemble)
+    report["trace_distances"] = distances
     if m <= 6:
         # both candidate ensembles, recorded side by side
-        hedge = {}
-        for label in HEDGE_ENSEMBLES:
-            hedge[label] = _hamming_trace_distances(m, parse_ensemble(label))
-        report["trace_distances_by_ensemble"] = hedge
+        report["trace_distances_by_ensemble"] = {
+            label: distances if label == ensemble.label
+            else _hamming_trace_distances(m, parse_ensemble(label))
+            for label in HEDGE_ENSEMBLES}
 
     _emit(_json_text(report), args.out)
     return 0

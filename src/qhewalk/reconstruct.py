@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .numerics import ContractError, DimensionError, unitarize
 
@@ -257,6 +256,9 @@ def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
         raise ValueError(f"m <= {MAX_MODES} supported, got {m}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    # imported here: scipy.optimize is most of the package's import time
+    from scipy.optimize import least_squares
+
     anchored = {((0, i), (0, j)) for i in range(1, m) for j in range(1, m)}
     missing = anchored - set(meas.visibilities)
     if missing:

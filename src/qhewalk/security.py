@@ -4,6 +4,16 @@ Everything here takes the eavesdropper's point of view: the mixed state he
 sees when the key is unknown, how many plaintext bits that state hides
 (Holevo quantity), how well plaintexts can be told apart (trace distance),
 and the success probability of the measure-in-a-random-basis attack.
+
+Key averages factorize over the Euler grid. Column b of R(alpha, beta, gamma)
+is e^{(2b-1) i gamma/2} e^{-i alpha/2} diag(1, e^{i alpha}) times column b of the
+real rotation [[cos t, -sin t], [sin t, cos t]] with t = beta/2. So gamma is
+a global phase and cancels in |psi><psi|, and alpha multiplies entry (s, s')
+by e^{i alpha (|s| - |s'|)}, |s| being the popcount of basis index s. The
+mean over alpha_k = 2 pi k / d1 is 1 where d1 divides |s| - |s'| and 0
+elsewhere. A density is therefore a real average over the polar angle alone,
+masked for full-sphere keys, and costs O(d 4^m) for linear:d and O(d2 4^m)
+for poincare:d1,d2,d3, independent of d1 * d3.
 """
 from __future__ import annotations
 
@@ -14,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numerics import ContractError, DimensionError, hermitian_eig
-from .polarization import as_bits, rotation_matrices
+from .polarization import as_bits
 
 MAX_QUBITS = 8
 _KEY_CHUNK = 65536
@@ -75,54 +85,40 @@ def parse_ensemble(text: str) -> KeyEnsemble:
     return KeyEnsemble(kind, dims)
 
 
-def ensemble_rotations(ensemble: KeyEnsemble) -> np.ndarray:
-    """All key rotations in the ensemble, shape (size, 2, 2)."""
-    if ensemble.kind == "linear":
-        d = ensemble.dims[0]
-        theta = np.arange(d) * (np.pi / d)
-        c, s = np.cos(theta), np.sin(theta)
-        out = np.zeros((d, 2, 2), dtype=complex)
-        out[:, 0, 0] = c
-        out[:, 0, 1] = -s
-        out[:, 1, 0] = s
-        out[:, 1, 1] = c
-        return out
-    d1, d2, d3 = ensemble.dims
-    k1, k2, k3 = np.meshgrid(np.arange(d1), np.arange(d2), np.arange(d3), indexing="ij")
-    alpha = 2.0 * np.pi * k1 / d1
-    gamma = 2.0 * np.pi * k3 / d3
-    # uniform in cos(beta): d2 = 1 degenerates to the pole
-    xi = k2 / (d2 - 1) if d2 > 1 else np.zeros_like(k2, dtype=float)
-    beta = 2.0 * np.arcsin(np.sqrt(xi))
-    return rotation_matrices(alpha, beta, gamma).reshape(-1, 2, 2)
+def _popcount_mask(m: int, d1: int) -> np.ndarray:
+    """1 where d1 divides |s| - |s'| for basis indices s, s' of m qubits, else 0."""
+    weight = np.array([bin(s).count("1") for s in range(2 ** m)])
+    return ((weight[:, None] - weight[None, :]) % d1 == 0).astype(float)
 
 
 def encrypted_density(x, ensemble: KeyEnsemble) -> np.ndarray:
     """Mixed state of the encrypted plaintext x, averaged over the key ensemble.
 
     rho_x = (1/N) sum_k (x) R_k |P_x> <P_x| R_k^t, a 2^m x 2^m Hermitian
-    unit-trace matrix. Memory stays bounded by streaming the keys in chunks.
+    unit-trace matrix, evaluated as a real average over the polar angle only
+    (see the module docstring): rho_x = mask (.) (1/K) sum_k psi_k psi_k^T.
     """
     bits = as_bits(x)
     m = len(bits)
     if m > MAX_QUBITS:
         raise ResourceError(f"density matrix would be {2 ** m} dimensional; m <= {MAX_QUBITS} supported")
-    rots = ensemble_rotations(ensemble)
-    total = rots.shape[0]
-    dim = 2 ** m
-    rho = np.zeros((dim, dim), dtype=complex)
-    # chunk keeps the streamed product-state block under ~64 MB at any m
-    step = min(_KEY_CHUNK, max(1024, (1 << 22) // dim))
-    for start in range(0, total, step):
-        chunk = rots[start:start + step]
-        nc = chunk.shape[0]
-        psi = np.ones((nc, 1), dtype=complex)
-        for b in bits:
-            col = chunk[:, :, b]  # bit 0 encrypts |H>, bit 1 encrypts |V>
-            psi = (psi[:, :, None] * col[:, None, :]).reshape(nc, -1)
-        rho += psi.T @ psi.conj()
-    rho /= total
-    return 0.5 * (rho + rho.conj().T)
+    if ensemble.kind == "linear":
+        d = ensemble.dims[0]
+        theta = np.arange(d) * (np.pi / d)
+    else:
+        d2 = ensemble.dims[1]
+        # uniform in cos(beta), theta = beta/2; d2 = 1 degenerates to the pole
+        theta = np.arcsin(np.sqrt(np.arange(d2) / (d2 - 1))) if d2 > 1 else np.zeros(1)
+    c, s = np.cos(theta), np.sin(theta)
+    # bit 0 encrypts |H> -> (c, s), bit 1 encrypts |V> -> (-s, c)
+    columns = (np.stack([c, s], axis=1), np.stack([-s, c], axis=1))
+    psi = np.ones((theta.size, 1))
+    for b in bits:
+        psi = (psi[:, :, None] * columns[b][:, None, :]).reshape(theta.size, -1)
+    rho = psi.T @ psi / theta.size
+    if ensemble.kind == "poincare":
+        rho *= _popcount_mask(m, ensemble.dims[0])
+    return (0.5 * (rho + rho.T)).astype(complex)
 
 
 def von_neumann_entropy(rho: np.ndarray, tol: float = 1e-10) -> float:
@@ -260,18 +256,3 @@ def implied_mutual_information(p: float, m: int) -> float:
     if p < 1.0:
         out += (1.0 - p) * math.log2((1.0 - p) / (2 ** m - 1))
     return out
-
-
-def symmetric_basis(m: int) -> np.ndarray:
-    """Rows are the m+1 symmetrized basis states |a_V>, ordered by V-count a.
-
-    |a_V> is the normalized equal-amplitude superposition of all m-bit
-    computational states with exactly a ones; shape (m+1, 2^m).
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    out = np.zeros((m + 1, 2 ** m))
-    for idx in range(2 ** m):
-        a = bin(idx).count("1")
-        out[a, idx] = 1.0
-    return out / np.sqrt(out.sum(axis=1, keepdims=True))

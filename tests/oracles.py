@@ -78,3 +78,48 @@ def permanent_by_definition(A: np.ndarray) -> complex:
 def total_variation(p: dict, q: dict) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+
+
+def ensemble_rotations(ensemble) -> np.ndarray:
+    """Every key rotation of a KeyEnsemble, shape (size, 2, 2).
+
+    Each key is the product Rz(alpha) Ry(beta) Rz(gamma) of expm-built factors;
+    linear:d rotates by k pi / d, i.e. beta = 2 pi k / d; poincare:d1,d2,d3 is
+    the Euler grid alpha = 2 pi k1 / d1, cos(beta) uniform over d2 points (the
+    pole when d2 = 1), gamma = 2 pi k3 / d3, in (k1, k2, k3) row-major order.
+    """
+    if ensemble.kind == "linear":
+        d = ensemble.dims[0]
+        return np.array([euler_rotation_expm(0.0, 2.0 * np.pi * k / d, 0.0) for k in range(d)])
+    d1, d2, d3 = ensemble.dims
+    rz_alpha = [euler_rotation_expm(2.0 * np.pi * k / d1, 0.0, 0.0) for k in range(d1)]
+    ry_beta = [euler_rotation_expm(0.0, 2.0 * np.arcsin(np.sqrt(k / (d2 - 1) if d2 > 1 else 0.0)), 0.0)
+               for k in range(d2)]
+    rz_gamma = [euler_rotation_expm(0.0, 0.0, 2.0 * np.pi * k / d3) for k in range(d3)]
+    out = np.einsum("aij,bjk,gkl->abgil", rz_alpha, ry_beta, rz_gamma)
+    return out.reshape(-1, 2, 2)
+
+
+def density_by_keys(x: str, rotations: np.ndarray) -> np.ndarray:
+    """Key-averaged state of plaintext x: one product state per key, all keys at once.
+
+    Bit 0 encrypts |H> (column 0 of the key), bit 1 encrypts |V> (column 1).
+    """
+    n = rotations.shape[0]
+    psi = np.ones((n, 1), dtype=complex)
+    for c in x:
+        col = rotations[:, :, int(c)]
+        psi = (psi[:, :, None] * col[:, None, :]).reshape(n, -1)
+    return psi.T @ psi.conj() / n
+
+
+def symmetric_basis(m: int) -> np.ndarray:
+    """Rows are the m+1 symmetrized basis states |a_V>, ordered by V-count a.
+
+    |a_V> is the normalized equal-amplitude superposition of all m-bit
+    computational states with exactly a ones; shape (m+1, 2^m).
+    """
+    out = np.zeros((m + 1, 2 ** m))
+    for idx in range(2 ** m):
+        out[bin(idx).count("1"), idx] = 1.0
+    return out / np.sqrt(out.sum(axis=1, keepdims=True))

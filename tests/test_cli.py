@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from qhewalk.cli import main
+from oracles import haar_unitary
 
 
 def run_cli(*argv, threads=None):
@@ -67,6 +69,16 @@ class TestWalkCommand:
         proc = run_cli("walk", "--device", "bogus", "--input", "0000", "--shots", "1")
         assert proc.returncode == 2
         assert "bogus" in proc.stderr
+
+    def test_bitstring_law_normalized_when_collisions_dominate(self, tmp_path):
+        # six walkers on eight Haar modes: about 2% of the law is collision-free
+        U = haar_unitary(8, np.random.default_rng(0))
+        path = tmp_path / "haar8.json"
+        path.write_text(json.dumps({"m": 8, "unitary": [[[float(z.real), float(z.imag)] for z in row]
+                                                        for row in U]}))
+        report = run_json("walk", "--device", str(path), "--input", "00000011", "--shots", "100")
+        assert report["exact"]["collision_probability"] > 0.95
+        assert abs(math.fsum(report["exact"]["bitstrings"].values()) - 1.0) <= 1e-15
 
 
 class TestDeviceFiles:
@@ -247,6 +259,14 @@ class TestDeterminism:
         assert proc.stdout == ""
         direct = run_cli("walk", "--device", "identity4", "--input", "0101", "--shots", "10")
         assert path.read_text() == direct.stdout
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only reconstruct needs the optimizer, and importing it dominates start-up
+    code = "import sys, qhewalk.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_main_callable_in_process(capsys):

@@ -5,12 +5,13 @@ import pytest
 
 from qhewalk.numerics import ContractError, DimensionError
 from qhewalk.security import (KeyEnsemble, ResourceError, attack_asymptote,
-                              attack_success, encrypted_density, ensemble_rotations,
+                              attack_success, encrypted_density,
                               hidden_bits_linear_asymptotic, holevo,
                               holevo_poincare_limit, implied_mutual_information,
                               linear_ensemble, parse_ensemble, poincare_ensemble,
-                              qudit_hidden_info, simulate_attack, symmetric_basis,
+                              qudit_hidden_info, simulate_attack,
                               trace_distance, von_neumann_entropy)
+from oracles import density_by_keys, ensemble_rotations, symmetric_basis
 
 LINEAR_180 = linear_ensemble(180)
 POINCARE_64 = poincare_ensemble(64, 64, 64)
@@ -78,6 +79,30 @@ class TestEncryptedDensity:
     def test_resource_cap(self):
         with pytest.raises(ResourceError):
             encrypted_density("0" * 9, linear_ensemble(4))
+
+    def test_matches_per_key_average(self):
+        # the polar-angle kernel against one expm-built product state per key
+        grids = [linear_ensemble(d) for d in (1, 7, 12)] + [
+            poincare_ensemble(*dims) for dims in ((1, 1, 1), (2, 5, 3), (3, 7, 1), (1, 33, 8),
+                                                  (4, 4, 4), (8, 33, 1), (5, 9, 3))]
+        for ens in grids:
+            rots = ensemble_rotations(ens)
+            for m in range(1, 6):
+                for idx in range(2 ** m):
+                    x = format(idx, f"0{m}b")
+                    err = np.max(np.abs(encrypted_density(x, ens) - density_by_keys(x, rots)))
+                    assert err <= 1e-12, (ens.label, x, err)
+
+    def test_poincare_density_ignores_gamma_grid(self):
+        # gamma is a global phase of every encrypted product state, so the
+        # key-by-key average over any gamma grid equals the gamma-free density
+        for d3 in (2, 5, 64):
+            ens = poincare_ensemble(3, 9, d3)
+            rots = ensemble_rotations(ens)
+            for x in ("0", "01", "0110", "10011"):
+                ref = encrypted_density(x, poincare_ensemble(3, 9, 1))
+                assert np.max(np.abs(encrypted_density(x, ens) - ref)) <= 1e-12
+                assert np.max(np.abs(density_by_keys(x, rots) - ref)) <= 1e-12
 
 
 class TestHolevo:
