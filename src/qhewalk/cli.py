@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -30,14 +31,15 @@ from .reconstruct import (MeasurementNoise, MeasurementSet, compare_to_truth,
                           reconstruct_unitary, synthesize_measurements)
 from .security import (encrypted_density, attack_asymptote, attack_success,
                        hidden_bits_linear_asymptotic, holevo, holevo_poincare_limit,
-                       linear_ensemble, parse_ensemble, simulate_attack,
-                       trace_distance, von_neumann_entropy)
+                       parse_ensemble, simulate_attack, trace_distance,
+                       von_neumann_entropy)
 from .walk import (NoiseModel, bhattacharyya_fidelity, occupation_to_bits,
                    run_protocol, unitary_from_payload, unitary_to_payload)
 
 BUILTIN_DEVICES = ("identity4", "u1", "u2")
 ATTACK_CURVE_D = (2, 3, 4, 6, 12)
 HEDGE_ENSEMBLES = ("linear:180", "poincare:64,64,64")
+HOLEVO_REFERENCES = ("linear:12", "linear:180")
 # largest entrywise move a device file may take on projection to the nearest
 # unitary; the built-ins move 0.109 (u1) and 0.063 (u2)
 MAX_PROJECTION_DISTANCE = 0.25
@@ -276,9 +278,8 @@ def _attack_curve(m: int, ds, plaintext, trials: int, rng) -> list[dict]:
     return curve
 
 
-def _hamming_trace_distances(m: int, ensemble) -> dict:
-    """T(rho_00..0, rho with w trailing ones) for w = 1..min(3, m)."""
-    rho0 = encrypted_density("0" * m, ensemble)
+def _hamming_trace_distances(m: int, ensemble, rho0) -> dict:
+    """T(rho_00..0, rho with w trailing ones) for w = 1..min(3, m); rho0 is rho_00..0."""
     out = {}
     for w in range(1, min(3, m) + 1):
         x = "0" * (m - w) + "1" * w
@@ -293,8 +294,15 @@ def cmd_security(args) -> int:
     rng = make_rng(args.seed)
     m = args.m
 
-    rho0 = encrypted_density("0" * m, ensemble)
-    entropy = von_neumann_entropy(rho0)
+    # each density and entropy once per report, whichever sections share it
+    @cache
+    def rho0(label):
+        return encrypted_density("0" * m, parse_ensemble(label))
+
+    @cache
+    def entropy(label):
+        return von_neumann_entropy(rho0(label))
+
     report = {
         "command": "security",
         "config": {
@@ -306,12 +314,9 @@ def cmd_security(args) -> int:
         },
         "m": int(m),
         "ensemble": ensemble.label,
-        "holevo_bits": float(m - entropy),
-        "entropy_bits": float(entropy),
-        "holevo_reference": {
-            "linear:12": float(holevo(m, linear_ensemble(12))),
-            "linear:180": float(holevo(m, linear_ensemble(180))),
-        },
+        "holevo_bits": float(m - entropy(ensemble.label)),
+        "entropy_bits": float(entropy(ensemble.label)),
+        "holevo_reference": {label: float(m - entropy(label)) for label in HOLEVO_REFERENCES},
         "limits": {
             "holevo_poincare_limit_bits": float(holevo_poincare_limit(m)),
             "hidden_bits_linear_asymptotic": float(hidden_bits_linear_asymptotic(m)),
@@ -322,13 +327,13 @@ def cmd_security(args) -> int:
 
     report["attack_curve"] = _attack_curve(m, ATTACK_CURVE_D, "0" * m, args.attack_trials, rng)
 
-    distances = _hamming_trace_distances(m, ensemble)
+    distances = _hamming_trace_distances(m, ensemble, rho0(ensemble.label))
     report["trace_distances"] = distances
     if m <= 6:
         # both candidate ensembles, recorded side by side
         report["trace_distances_by_ensemble"] = {
             label: distances if label == ensemble.label
-            else _hamming_trace_distances(m, parse_ensemble(label))
+            else _hamming_trace_distances(m, parse_ensemble(label), rho0(label))
             for label in HEDGE_ENSEMBLES}
 
     _emit(_json_text(report), args.out)

@@ -46,6 +46,15 @@ def _as_square(matrix, name: str) -> np.ndarray:
     return M
 
 
+def require_unitary(U, tol: float = 1e-8) -> np.ndarray:
+    """U as a complex array, after checking it is square, finite and unitary to tol."""
+    M = _as_square(U, "matrix")
+    defect = float(np.max(np.abs(M.conj().T @ M - np.eye(M.shape[0]))))
+    if defect > tol:
+        raise ContractError(f"matrix is not unitary: max |U^t U - I| = {defect:.3e} > {tol:.1e}")
+    return M
+
+
 def permanent(matrix) -> complex:
     """Matrix permanent via the Ryser formula, summed over column subsets in bulk.
 

@@ -39,8 +39,6 @@ class Polarization:
 
 H = Polarization(1.0, 0.0)
 V = Polarization(0.0, 1.0)
-D = Polarization(1 / np.sqrt(2), 1 / np.sqrt(2))
-A = Polarization(1 / np.sqrt(2), -1 / np.sqrt(2))
 
 
 @dataclass(frozen=True)
@@ -163,9 +161,3 @@ def projection_probability(state: Polarization, key: PolarizationKey) -> float:
     R = rotation_matrix(key)
     amp = np.vdot(R[:, 0], state.vector)   # <H| R^dagger |state>
     return float(min(1.0, abs(amp) ** 2))
-
-
-def measure_in_key_basis(state: Polarization, key: PolarizationKey, random_source) -> int:
-    """Sample one bit from a measurement in the rotated {X, X_perp} basis."""
-    p0 = projection_probability(state, key)
-    return 0 if random_source.random() < p0 else 1

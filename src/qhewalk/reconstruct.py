@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .numerics import ContractError, DimensionError, unitarize
+from .numerics import ContractError, DimensionError, require_unitary, unitarize
 
 MAX_MODES = 8
 _ZERO_COINCIDENCE = 1e-14
@@ -58,15 +58,17 @@ class MeasurementSet:
         I = np.asarray(self.intensities, dtype=float)
         if I.ndim != 2 or I.shape[0] != I.shape[1]:
             raise DimensionError(f"intensities must be square, got shape {I.shape}")
-        if np.any(I < -1e-9) or np.any(I > 1.0 + 1e-6):
-            raise ValueError("intensities must lie in [0, 1]")
+        if not np.all((I >= -1e-9) & (I <= 1.0 + 1e-6)):
+            raise ValueError("intensities must be finite and lie in [0, 1]")
         object.__setattr__(self, "intensities", I)
         m = I.shape[0]
         for (i, i2), (j, j2) in self.visibilities:
             if not (0 <= i < i2 < m and 0 <= j < j2 < m):
                 raise ValueError(f"bad visibility key (({i},{i2}),({j},{j2})) for m={m}")
-        if any(abs(v) > 1.0 + 1e-9 for v in self.visibilities.values()):
-            raise ValueError("visibilities must lie in [-1, 1]")
+        if not all(abs(v) <= 1.0 + 1e-9 for v in self.visibilities.values()):
+            raise ValueError("visibilities must be finite and lie in [-1, 1]")
+        if self.counts_scale is not None and not np.isfinite(self.counts_scale):
+            raise ValueError(f"counts_scale must be finite, got {self.counts_scale}")
 
     @property
     def mode_count(self) -> int:
@@ -88,24 +90,37 @@ class MeasurementSet:
         if not isinstance(payload, dict):
             raise MeasurementFormatError("measurement payload must be an object")
         try:
-            m = int(payload["m"])
+            m = payload["m"]
             raw_int = payload["intensities"]
             raw_vis = payload["visibilities"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MeasurementFormatError(f"missing or invalid field: {exc}") from None
-        I = np.asarray(raw_int, dtype=float)
-        if I.shape != (m, m):
-            raise MeasurementFormatError(f"intensities must be {m}x{m}")
+        except KeyError as exc:
+            raise MeasurementFormatError(f"missing field: {exc}") from None
+        if isinstance(m, bool) or not isinstance(m, int):
+            raise MeasurementFormatError(f"'m' must be an integer, got {m!r}")
+        if not isinstance(raw_vis, list):
+            raise MeasurementFormatError("'visibilities' must be a list of records")
+        try:
+            I = np.asarray(raw_int, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            I = None
+        if I is None or I.shape != (m, m):
+            raise MeasurementFormatError(f"'intensities' must be a {m}x{m} array of numbers")
         vis = {}
         for rec in raw_vis:
             try:
                 i, i2 = (int(v) for v in rec["inputs"])
                 j, j2 = (int(v) for v in rec["outputs"])
                 vis[((i, i2), (j, j2))] = float(rec["value"])
-            except (KeyError, TypeError, ValueError):
+            except (KeyError, TypeError, ValueError, OverflowError):
                 raise MeasurementFormatError(f"bad visibility record: {rec!r}") from None
         scale = payload.get("counts_scale")
-        return cls(I, vis, None if scale is None else float(scale))
+        if isinstance(scale, bool) or not isinstance(scale, (int, float, type(None))):
+            raise MeasurementFormatError(f"'counts_scale' must be a number or null, got {scale!r}")
+        try:
+            scale = None if scale is None else float(scale)
+        except OverflowError:
+            raise MeasurementFormatError("'counts_scale' must be finite") from None
+        return cls(I, vis, scale)
 
 
 @dataclass(frozen=True)
@@ -115,12 +130,7 @@ class GaugeFixedUnitary:
     matrix: np.ndarray
 
     def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=complex)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise DimensionError(f"matrix must be square, got shape {M.shape}")
-        defect = float(np.max(np.abs(M.conj().T @ M - np.eye(M.shape[0]))))
-        if defect > 1e-8:
-            raise ContractError(f"matrix is not unitary: defect {defect:.3e}")
+        M = require_unitary(self.matrix)
         edge = np.concatenate([M[0, :], M[:, 0]])
         if np.max(np.abs(edge.imag)) > 1e-8 or np.min(edge.real) < -1e-8:
             raise ContractError("first row/column must be real non-negative")
@@ -141,16 +151,6 @@ def all_pairs(m: int) -> list[tuple[Pair, Pair]]:
     return [(ins, outs) for ins in combinations(range(m), 2) for outs in combinations(range(m), 2)]
 
 
-def _require_unitary(U, tol: float = 1e-8) -> np.ndarray:
-    M = np.asarray(U, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {M.shape}")
-    defect = float(np.max(np.abs(M.conj().T @ M - np.eye(M.shape[0]))))
-    if defect > tol:
-        raise ContractError(f"matrix is not unitary: defect {defect:.3e}")
-    return M
-
-
 def _pair_indices(pairs):
     pi = np.array([p[0][0] for p in pairs])
     pi2 = np.array([p[0][1] for p in pairs])
@@ -159,20 +159,29 @@ def _pair_indices(pairs):
     return pi, pi2, pj, pj2
 
 
-def _coincidences(M, pi, pi2, pj, pj2):
-    """Interfering (C_min) and distinguishable (C_max) pair coincidences."""
+def _coincidences(M, A2, idx):
+    """Interfering (C_min) and distinguishable (C_max) coincidences of the pairs
+    in idx = _pair_indices(pairs); A2 holds the squared amplitudes |M|^2."""
+    pi, pi2, pj, pj2 = idx
     cmin = np.abs(M[pj, pi] * M[pj2, pi2] + M[pj2, pi] * M[pj, pi2]) ** 2
-    A2 = np.abs(M) ** 2
     cmax = A2[pj, pi] * A2[pj2, pi2] + A2[pj2, pi] * A2[pj, pi2]
     return cmin, cmax
 
 
-def _visibility_vector(M, pi, pi2, pj, pj2):
-    cmin, cmax = _coincidences(M, pi, pi2, pj, pj2)
-    v = np.zeros(len(pi))
+def _visibilities(cmin, cmax):
+    """V = (C_max - C_min) / C_max, 0 where C_max vanishes."""
+    v = np.zeros(len(cmax))
     ok = cmax > _ZERO_COINCIDENCE
     v[ok] = (cmax[ok] - cmin[ok]) / cmax[ok]
     return v
+
+
+def _with_phases(A, phases):
+    """A * exp(iP): P is 0 on the gauge-fixed first row and column, `phases` elsewhere."""
+    m = A.shape[0]
+    P = np.zeros((m, m))
+    P[1:, 1:] = phases.reshape(m - 1, m - 1)
+    return A * np.exp(1j * P)
 
 
 def synthesize_measurements(U, noise: MeasurementNoise | None = None,
@@ -184,12 +193,10 @@ def synthesize_measurements(U, noise: MeasurementNoise | None = None,
     distinguishability pulls C_min toward the non-interfering C_max before
     counting.
     """
-    M = _require_unitary(U)
-    m = M.shape[0]
-    pairs = all_pairs(m)
-    pi, pi2, pj, pj2 = _pair_indices(pairs)
+    M = require_unitary(U)
+    pairs = all_pairs(M.shape[0])
     intensities = np.abs(M) ** 2
-    cmin, cmax = _coincidences(M, pi, pi2, pj, pj2)
+    cmin, cmax = _coincidences(M, intensities, _pair_indices(pairs))
     if noise is not None:
         cmin = cmax - noise.distinguishability * (cmax - cmin)
     if noise is not None and noise.counts_scale is not None:
@@ -203,9 +210,7 @@ def synthesize_measurements(U, noise: MeasurementNoise | None = None,
         vis = np.clip(vis, -1.0, 1.0)
         intensities = np.clip(intensities, 0.0, 1.0)
     else:
-        vis = np.zeros(len(pairs))
-        ok = cmax > _ZERO_COINCIDENCE
-        vis[ok] = (cmax[ok] - cmin[ok]) / cmax[ok]
+        vis = _visibilities(cmin, cmax)
     scale_out = noise.counts_scale if noise is not None else None
     return MeasurementSet(intensities, dict(zip(pairs, vis.tolist())), scale_out)
 
@@ -219,7 +224,7 @@ def _gauge_fix_matrix(U: np.ndarray) -> np.ndarray:
 
 def gauge_fix(U) -> GaugeFixedUnitary:
     """Rephase rows and columns so the first row and column are real >= 0."""
-    return GaugeFixedUnitary(_gauge_fix_matrix(_require_unitary(U)))
+    return GaugeFixedUnitary(_gauge_fix_matrix(require_unitary(U)))
 
 
 def canonical_form(U) -> np.ndarray:
@@ -265,15 +270,10 @@ def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
         raise ValueError(f"measurement set lacks required anchored pairs: {sorted(missing)}")
 
     pairs = sorted(meas.visibilities)
-    pi, pi2, pj, pj2 = _pair_indices(pairs)
+    idx = _pair_indices(pairs)
     vmeas = np.array([meas.visibilities[p] for p in pairs])
     A = np.sqrt(np.clip(meas.intensities, 0.0, None))
     nfree = (m - 1) ** 2
-
-    def build(phi):
-        P = np.zeros((m, m))
-        P[1:, 1:] = phi.reshape(m - 1, m - 1)
-        return A * np.exp(1j * P)
 
     def unitarity_rows(M):
         # the device is unitary by assumption; feeding that into the fit pins
@@ -282,19 +282,19 @@ def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
         return np.concatenate([G.real.ravel(), G.imag.ravel()])
 
     def residuals(phi):
-        M = build(phi)
-        return np.concatenate([_visibility_vector(M, pi, pi2, pj, pj2) - vmeas,
+        M = _with_phases(A, phi)
+        return np.concatenate([_visibilities(*_coincidences(M, np.abs(M) ** 2, idx)) - vmeas,
                                unitarity_rows(M)])
 
     # analytic |phase| seed: for pair ((0,i),(0,j)) the visibility depends
     # only on cos(phase_ji) once the gauge zeroes the anchoring entries
     est = np.zeros((m - 1, m - 1))
+    cmax = _coincidences(A, A ** 2, idx)[1]
     for a, ((i, i2), (j, j2)) in enumerate(pairs):
         if i == 0 and j == 0:
-            cmax = A[j, i] ** 2 * A[j2, i2] ** 2 + A[j2, i] ** 2 * A[j, i2] ** 2
             den = 2.0 * A[j, i] * A[j2, i2] * A[j2, i] * A[j, i2]
             if den > 1e-12:
-                c = -vmeas[a] * cmax / den
+                c = -vmeas[a] * cmax[a] / den
                 est[j2 - 1, i2 - 1] = np.arccos(np.clip(c, -1.0, 1.0))
 
     rng = np.random.default_rng(seed)
@@ -316,26 +316,17 @@ def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
     # joint polish: free the amplitudes, keep them tied to the intensities
     def polish_residuals(x):
         Af = x[:m * m].reshape(m, m)
-        P = np.zeros((m, m))
-        P[1:, 1:] = x[m * m:].reshape(m - 1, m - 1)
-        Mf = Af * np.exp(1j * P)
-        cmin = np.abs(Mf[pj, pi] * Mf[pj2, pi2] + Mf[pj2, pi] * Mf[pj, pi2]) ** 2
+        Mf = _with_phases(Af, x[m * m:])
         A2 = Af ** 2
-        cmax = A2[pj, pi] * A2[pj2, pi2] + A2[pj2, pi] * A2[pj, pi2]
-        v = np.zeros(len(pairs))
-        ok = cmax > _ZERO_COINCIDENCE
-        v[ok] = (cmax[ok] - cmin[ok]) / cmax[ok]
-        return np.concatenate([v - vmeas, (A2 - meas.intensities).ravel(),
-                               unitarity_rows(Mf)])
+        return np.concatenate([_visibilities(*_coincidences(Mf, A2, idx)) - vmeas,
+                               (A2 - meas.intensities).ravel(), unitarity_rows(Mf)])
 
     x0 = np.concatenate([A.ravel(), best.x])
     polished = least_squares(polish_residuals, x0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    Af = np.abs(polished.x[:m * m].reshape(m, m))
-    P = np.zeros((m, m))
-    P[1:, 1:] = polished.x[m * m:].reshape(m - 1, m - 1)
-    recovered = unitarize(Af * np.exp(1j * P))
+    amplitudes = np.abs(polished.x[:m * m].reshape(m, m))
+    recovered = unitarize(_with_phases(amplitudes, polished.x[m * m:]))
 
-    final = _visibility_vector(recovered, pi, pi2, pj, pj2) - vmeas
+    final = _visibilities(*_coincidences(recovered, np.abs(recovered) ** 2, idx)) - vmeas
     residual = float(np.sqrt(np.mean(final ** 2)))
     report = ReconstructionReport(
         success=residual <= residual_threshold,

@@ -232,27 +232,3 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     eig = hermitian_eig(a - b)
     return float(0.5 * np.abs(eig.eigenvalues).sum())
 
-
-def qudit_hidden_info(a: int, m: int) -> float:
-    """Hidden bits when each photon carries an a-level mode instead of polarization."""
-    if m < 1 or a < m:
-        raise ValueError("need a >= m >= 1")
-    return float(m * math.log2(a / m) + m / math.log(2))
-
-
-def implied_mutual_information(p: float, m: int) -> float:
-    """Bits/trial a guess-the-string channel with success probability p conveys.
-
-    Models the attack as a symmetric channel: correct string with probability
-    p, any of the other 2^m - 1 uniformly otherwise. I = m - H(error pattern).
-    """
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"p must be a probability, got {p}")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    out = float(m)
-    if p > 0.0:
-        out += p * math.log2(p)
-    if p < 1.0:
-        out += (1.0 - p) * math.log2((1.0 - p) / (2 ** m - 1))
-    return out

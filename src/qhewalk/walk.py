@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .numerics import ContractError, DimensionError, permanent
+from .numerics import ContractError, DimensionError, permanent, require_unitary
 from .polarization import PolarizationKey, as_bits, encrypt, projection_probability
 
 MAX_WALKERS = 6
@@ -61,17 +61,12 @@ def encode_input(occupation) -> str:
     occ = as_occupation(occupation)
     if any(c > 1 for c in occ):
         raise EncodingError(f"one photon per input mode required, got {occ}")
-    return "".join("0" if c == 1 else "1" for c in occ)
+    return occupation_to_bits(occ)
 
 
 def walker_pattern(plaintext) -> tuple[int, ...]:
     """Occupation of the walker (|H>) photons for a plaintext."""
     return tuple(1 if b == 0 else 0 for b in as_bits(plaintext))
-
-
-def dummy_pattern(plaintext) -> tuple[int, ...]:
-    """Occupation of the dummy (|V>) photons for a plaintext."""
-    return tuple(1 if b == 1 else 0 for b in as_bits(plaintext))
 
 
 def occupation_states(m: int, n: int) -> list[tuple[int, ...]]:
@@ -83,16 +78,6 @@ def occupation_states(m: int, n: int) -> list[tuple[int, ...]]:
             occ[j] += 1
         states.append(tuple(occ))
     return states
-
-
-def _check_unitary(U, tol: float = 1e-8) -> np.ndarray:
-    M = np.asarray(U, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionError(f"path unitary must be square, got shape {M.shape}")
-    defect = float(np.max(np.abs(M.conj().T @ M - np.eye(M.shape[0]))))
-    if defect > tol:
-        raise ContractError(f"matrix is not unitary: max |U^t U - I| = {defect:.3e} > {tol:.1e}")
-    return M
 
 
 def _transition_submatrix(U: np.ndarray, source: tuple[int, ...], target: tuple[int, ...]) -> np.ndarray:
@@ -116,7 +101,7 @@ def _distribution(U, input_occupation, interference: bool) -> dict[tuple[int, ..
     expression with the interference cross terms removed.
     """
     source = as_occupation(input_occupation)
-    U = _check_unitary(U)
+    U = require_unitary(U)
     if len(source) != U.shape[0]:
         raise DimensionError(f"occupation length {len(source)} != mode count {U.shape[0]}")
     n = sum(source)
@@ -166,7 +151,7 @@ def _with_spurious(law: dict, noise: NoiseModel | None) -> dict[tuple[int, ...],
 
 def _device_and_bits(U, plaintext) -> tuple[np.ndarray, tuple[int, ...]]:
     bits = as_bits(plaintext)
-    M = _check_unitary(U)
+    M = require_unitary(U)
     if len(bits) != M.shape[0]:
         raise DimensionError(f"plaintext length {len(bits)} != mode count {M.shape[0]}")
     return M, bits
@@ -316,7 +301,10 @@ def unitary_from_payload(payload) -> np.ndarray:
                     or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                                for v in cell)):
                 raise DeviceFormatError(f"'unitary' entry ({j},{i}) must be [re, im] numbers")
-            out[j, i] = complex(cell[0], cell[1])
+            try:
+                out[j, i] = complex(cell[0], cell[1])
+            except OverflowError:
+                raise DeviceFormatError(f"'unitary' entry ({j},{i}) must be finite") from None
     if not np.all(np.isfinite(out)):
         raise DeviceFormatError("device entries must be finite")
     return out

@@ -1,14 +1,17 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here deliberately avoids the package's own algorithms: transition
-probabilities come from expanding creation-operator polynomials term by term
-(no permanents), and rotations come from explicit matrix exponentials.
+Everything here except the test-only helpers at the end deliberately avoids
+the package's own algorithms: transition probabilities come from expanding
+creation-operator polynomials term by term (no permanents), and rotations
+come from explicit matrix exponentials.
 """
 import math
 from itertools import permutations
 
 import numpy as np
 import scipy.linalg
+
+from qhewalk.polarization import Polarization, projection_probability
 
 
 def haar_unitary(m: int, rng) -> np.ndarray:
@@ -123,3 +126,41 @@ def symmetric_basis(m: int) -> np.ndarray:
     for idx in range(2 ** m):
         out[bin(idx).count("1"), idx] = 1.0
     return out / np.sqrt(out.sum(axis=1, keepdims=True))
+
+
+# ---------------------------------------------------------------------------
+# Helpers only tests use; the polarization ones are built on the package's types.
+
+def qudit_hidden_info(a: int, m: int) -> float:
+    """Hidden bits when each photon carries an a-level mode instead of polarization."""
+    if m < 1 or a < m:
+        raise ValueError("need a >= m >= 1")
+    return float(m * math.log2(a / m) + m / math.log(2))
+
+
+def implied_mutual_information(p: float, m: int) -> float:
+    """Bits/trial a guess-the-string channel with success probability p conveys.
+
+    Models the attack as a symmetric channel: correct string with probability
+    p, any of the other 2^m - 1 uniformly otherwise. I = m - H(error pattern).
+    """
+    if not (0.0 <= p <= 1.0):
+        raise ValueError(f"p must be a probability, got {p}")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    out = float(m)
+    if p > 0.0:
+        out += p * math.log2(p)
+    if p < 1.0:
+        out += (1.0 - p) * math.log2((1.0 - p) / (2 ** m - 1))
+    return out
+
+
+D = Polarization(1 / np.sqrt(2), 1 / np.sqrt(2))
+A = Polarization(1 / np.sqrt(2), -1 / np.sqrt(2))
+
+
+def measure_in_key_basis(state: Polarization, key, random_source) -> int:
+    """Sample one bit from a measurement in the rotated {X, X_perp} basis."""
+    p0 = projection_probability(state, key)
+    return 0 if random_source.random() < p0 else 1

@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhewalk.cli import main
+from qhewalk.reconstruct import synthesize_measurements
+from qhewalk.walk import unitary_to_payload
 from oracles import haar_unitary
 
 
@@ -138,6 +145,7 @@ class TestSecurityCommand:
     def test_linear_reference_value(self):
         report = run_json("security", "--m", "4", "--ensemble", "linear:180")
         assert abs(report["holevo_bits"] - 1.9694) <= 0.005
+        assert report["holevo_reference"]["linear:180"] == report["holevo_bits"]
         td = report["trace_distances"]
         assert td["hamming_1"] == pytest.approx(td["hamming_3"], abs=1e-6)
         assert "linear:180" in report["trace_distances_by_ensemble"]
@@ -198,6 +206,26 @@ class TestReconstructCommand:
         report = json.loads(proc.stdout)
         assert not report["result"]["success"]
         assert report["result"]["residual"] > report["config"]["threshold"]
+
+    def test_malformed_measurements_exit_2(self, tmp_path, capsys):
+        good = synthesize_measurements(haar_unitary(3, np.random.default_rng(4))).to_payload()
+        nan_intensity = json.loads(json.dumps(good))
+        nan_intensity["intensities"][1][2] = math.nan
+        nan_visibility = json.loads(json.dumps(good))
+        nan_visibility["visibilities"][0]["value"] = math.nan
+        path = tmp_path / "meas.json"
+        for payload, field in ((nan_intensity, "intensities"),
+                               (nan_visibility, "visibilities"),
+                               (dict(good, counts_scale=math.inf), "counts_scale"),
+                               (dict(good, counts_scale=-math.inf), "counts_scale"),
+                               (dict(good, m=True), "'m'"),
+                               (dict(good, m=3.5), "'m'"),
+                               (dict(good, visibilities=5), "'visibilities'")):
+            path.write_text(json.dumps(payload))
+            assert main(["reconstruct", "--measurements", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert field in captured.err
+            assert captured.out == ""
 
     def test_contradictory_noise_flags_exit_2(self):
         proc = run_cli("reconstruct", "--device", "u1", "--noise", "none", "--counts", "100")
@@ -274,3 +302,59 @@ def test_main_callable_in_process(capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["curve"][0]["p_exact"] == 0.5
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+GRID = st.integers(-2, 70)
+KEY_SPECS = st.one_of(
+    st.text(max_size=12), st.just("haar"),
+    st.builds("linear:{}/{}".format, GRID, GRID),
+    st.builds("euler:{!r},{!r},{!r}".format, st.floats(), st.floats(), st.floats()),
+    st.builds("haar:{},{},{}".format, GRID, GRID, GRID))
+ENSEMBLE_SPECS = st.one_of(
+    st.text(max_size=12),
+    st.builds("linear:{}".format, st.integers(-2, 200)),
+    st.builds("poincare:{},{},{}".format, GRID, GRID, GRID))
+
+
+def _mutate(data, node):
+    """Replace one node of a JSON tree, reached by a random descent, with an arbitrary value."""
+    if isinstance(node, (dict, list)) and node and data.draw(st.integers(0, 3)):
+        node = type(node)(node)
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        node[key] = _mutate(data, node[key])
+        return node
+    return data.draw(JSON_VALUES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_parsers_exit_0_or_2(data):
+    """Device and measurement JSON, --key and --ensemble: a report or exit 2, never an exception."""
+    kind = data.draw(st.sampled_from(["device", "measurements", "key", "ensemble"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        if kind == "device":
+            m = data.draw(st.integers(1, 3))
+            payload = unitary_to_payload(haar_unitary(m, np.random.default_rng(m)))
+            path.write_text(json.dumps(_mutate(data, payload)))
+            argv = ["walk", "--device", str(path), "--input", "0" * m, "--shots", "20"]
+        elif kind == "measurements":
+            m = data.draw(st.integers(2, 3))
+            payload = synthesize_measurements(haar_unitary(m, np.random.default_rng(m))).to_payload()
+            path.write_text(json.dumps(_mutate(data, payload)))
+            # a huge threshold keeps a poor fit from exiting 3 (reported, not rejected)
+            argv = ["reconstruct", "--measurements", str(path), "--restarts", "1",
+                    "--threshold", "1e9"]
+        elif kind == "key":
+            argv = ["walk", "--device", "identity4", "--input", "0101", "--shots", "20",
+                    "--key=" + data.draw(KEY_SPECS)]
+        else:
+            argv = ["security", "--m", "2", "--attack-trials", "20",
+                    "--ensemble=" + data.draw(ENSEMBLE_SPECS)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 2)

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhewalk.polarization import (A, D, H, V, KeyRangeError, PlaintextError,
+from qhewalk.polarization import (H, V, KeyRangeError, PlaintextError,
                                   Polarization, PolarizationKey, as_bits, encrypt,
-                                  key_from_grid, linear_key, measure_in_key_basis,
-                                  projection_probability, rotation_matrices,
-                                  rotation_matrix, sample_haar_key)
-from oracles import euler_rotation_expm
+                                  key_from_grid, linear_key, projection_probability,
+                                  rotation_matrices, rotation_matrix, sample_haar_key)
+from oracles import A, D, euler_rotation_expm, measure_in_key_basis
 
 
 def test_rotation_matches_matrix_exponential():

@@ -73,8 +73,11 @@ class TestSynthesize:
             synthesize_measurements(U1, MeasurementNoise(counts_scale=100.0))
 
     def test_rejects_non_unitary(self):
-        with pytest.raises(ContractError):
-            synthesize_measurements(np.ones((3, 3)))
+        for bad in (np.ones((3, 3)), np.full((3, 3), np.nan)):
+            with pytest.raises(ContractError):
+                synthesize_measurements(bad)
+            with pytest.raises(ContractError):
+                gauge_fix(bad)
 
 
 class TestGauge:
@@ -101,6 +104,8 @@ class TestGauge:
     def test_type_validation(self):
         with pytest.raises(ContractError):
             GaugeFixedUnitary(np.ones((2, 2)))
+        with pytest.raises(ContractError):
+            GaugeFixedUnitary(np.full((3, 3), np.nan))
         with pytest.raises(ContractError):
             GaugeFixedUnitary(np.diag([1j, 1.0]))  # unitary but wrong gauge
 
@@ -196,6 +201,9 @@ class TestPayload:
             {},
             {"m": 2, "intensities": [[1, 0]], "visibilities": []},
             {"m": 2, "intensities": good["intensities"], "visibilities": [{"inputs": [0]}]},
+            dict(good, intensities=[[10 ** 400, 0], [0, 1]]),
+            dict(good, counts_scale=10 ** 400),
+            dict(good, counts_scale="1e6"),
         ):
             with pytest.raises(MeasurementFormatError):
                 MeasurementSet.from_payload(corrupt)

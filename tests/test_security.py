@@ -7,11 +7,11 @@ from qhewalk.numerics import ContractError, DimensionError
 from qhewalk.security import (KeyEnsemble, ResourceError, attack_asymptote,
                               attack_success, encrypted_density,
                               hidden_bits_linear_asymptotic, holevo,
-                              holevo_poincare_limit, implied_mutual_information,
-                              linear_ensemble, parse_ensemble, poincare_ensemble,
-                              qudit_hidden_info, simulate_attack,
+                              holevo_poincare_limit, linear_ensemble,
+                              parse_ensemble, poincare_ensemble, simulate_attack,
                               trace_distance, von_neumann_entropy)
-from oracles import density_by_keys, ensemble_rotations, symmetric_basis
+from oracles import (density_by_keys, ensemble_rotations, implied_mutual_information,
+                     qudit_hidden_info, symmetric_basis)
 
 LINEAR_180 = linear_ensemble(180)
 POINCARE_64 = poincare_ensemble(64, 64, 64)

@@ -6,7 +6,7 @@ from qhewalk.numerics import ContractError, DimensionError, unitarize
 from qhewalk.polarization import linear_key, sample_haar_key
 from qhewalk.walk import (DeviceFormatError, EncodingError, NoiseModel,
                           bhattacharyya_fidelity, classical_output_distribution,
-                          dummy_pattern, encode_input, occupation_states,
+                          encode_input, occupation_states,
                           occupation_to_bits, output_distribution,
                           protocol_distribution, run_protocol, unitary_from_payload,
                           unitary_to_payload, walker_pattern)
@@ -34,7 +34,6 @@ class TestEncoding:
 
     def test_patterns_partition_the_modes(self):
         assert walker_pattern("0111") == (1, 0, 0, 0)
-        assert dummy_pattern("0111") == (0, 1, 1, 1)
         assert occupation_to_bits((0, 1, 0, 1)) == "1010"
 
 
@@ -115,6 +114,12 @@ class TestOutputDistribution:
     def test_rejects_non_unitary(self):
         with pytest.raises(ContractError):
             output_distribution(U1_PRINTED, (1, 0, 0, 0))
+        # without walkers no permanent sees the matrix: only the unitarity check can object
+        nan = np.full((4, 4), np.nan)
+        with pytest.raises(ContractError):
+            output_distribution(nan, (0, 0, 0, 0))
+        with pytest.raises(ContractError):
+            run_protocol(nan, "1111", linear_key(0, 1), 10, np.random.default_rng(0))
 
     def test_rejects_too_many_photons(self):
         with pytest.raises(ContractError):
@@ -260,6 +265,7 @@ class TestDevicePayload:
             {"m": 2, "unitary": [[[1, 0], ["x", 0]], [[0, 0], [1, 0]]]},
             {"m": True, "unitary": [[[1, 0]]]},
             {"m": 1, "unitary": [[[True, False]]]},
+            {"m": 1, "unitary": [[[10 ** 400, 0]]]},
         ):
             with pytest.raises(DeviceFormatError):
                 unitary_from_payload(corrupt)
