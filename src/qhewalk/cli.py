@@ -347,6 +347,7 @@ def cmd_reconstruct(args) -> int:
     if args.noise == "none" and args.counts is not None:
         raise ValueError("--noise none contradicts --counts")
 
+    noise = MeasurementNoise(counts_scale=args.counts, distinguishability=args.distinguishability)
     device = load_device(args.device) if args.device else None
 
     if args.measurements:
@@ -354,13 +355,8 @@ def cmd_reconstruct(args) -> int:
         meas = MeasurementSet.from_payload(payload)
         noise_echo = "file"
     elif device is not None:
-        noise = None
-        if args.counts is not None or args.distinguishability < 1.0:
-            counts = float(args.counts) if args.counts is not None else None
-            noise = MeasurementNoise(counts_scale=counts,
-                                     distinguishability=args.distinguishability)
         meas = synthesize_measurements(device.unitary, noise, rng)
-        noise_echo = "none" if noise is None else "poisson"
+        noise_echo = "none" if args.counts is None else "poisson"
     else:
         raise ValueError("reconstruct needs --device or --measurements")
 

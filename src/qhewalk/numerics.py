@@ -5,6 +5,7 @@ re-unitarization) funnels through the routines in this module.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
@@ -44,6 +45,18 @@ def _as_square(matrix, name: str) -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise ContractError(f"{name} contains non-finite entries")
     return M
+
+
+def finite_number(value, field: str, error: type[ValueError]) -> float:
+    """value as a float if it is a finite int or float (not a bool); else raise error(field)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise error(f"{field} must be a finite number, got {value!r}")
 
 
 def require_unitary(U, tol: float = 1e-8) -> np.ndarray:

@@ -43,17 +43,11 @@ V = Polarization(0.0, 1.0)
 
 @dataclass(frozen=True)
 class PolarizationKey:
-    """Euler-angle triple selecting the encryption rotation.
-
-    Keys drawn from the planar (linear-polarization) family carry a
-    `linear=(k, d)` tag denoting rotation by k*pi/d, so ensemble-level code
-    can tell the two key families apart.
-    """
+    """Euler-angle triple selecting the encryption rotation."""
 
     alpha: float
     beta: float
     gamma: float
-    linear: tuple[int, int] | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.alpha < 2 * np.pi):
@@ -62,10 +56,6 @@ class PolarizationKey:
             raise KeyRangeError(f"gamma must lie in [0, 2*pi), got {self.gamma}")
         if not (0.0 <= self.beta <= np.pi):
             raise KeyRangeError(f"beta must lie in [0, pi], got {self.beta}")
-        if self.linear is not None:
-            k, d = self.linear
-            if d < 1 or not (0 <= k < d):
-                raise KeyRangeError(f"linear tag needs 0 <= k < d, got (k, d) = {self.linear}")
 
 
 def as_bits(plaintext) -> tuple[int, ...]:
@@ -117,8 +107,8 @@ def linear_key(k: int, d: int) -> PolarizationKey:
         raise KeyRangeError(f"k must satisfy 0 <= k < d, got k={k}, d={d}")
     theta = np.pi * k / d
     if theta <= np.pi / 2:
-        return PolarizationKey(0.0, 2 * theta, 0.0, linear=(k, d))
-    return PolarizationKey(np.pi, 2 * (np.pi - theta), np.pi, linear=(k, d))
+        return PolarizationKey(0.0, 2 * theta, 0.0)
+    return PolarizationKey(np.pi, 2 * (np.pi - theta), np.pi)
 
 
 def key_from_grid(k1: int, k2: int, k3: int, d1: int, d2: int, d3: int) -> PolarizationKey:

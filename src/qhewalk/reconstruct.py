@@ -5,16 +5,18 @@ each input pair with photon pairs and record the two-photon interference
 visibility V = (C_max - C_min)/C_max per output pair. Amplitudes follow from
 the intensities; the visibilities pin down the interferometer's internal
 phases up to a diagonal-phase gauge on inputs and outputs, recovered here by
-multi-start least squares.
+multi-start least squares over the phases, then projected to the closest
+unitary.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .numerics import ContractError, DimensionError, require_unitary, unitarize
+from .numerics import ContractError, DimensionError, finite_number, require_unitary, unitarize
 
 MAX_MODES = 8
 _ZERO_COINCIDENCE = 1e-14
@@ -28,15 +30,16 @@ class MeasurementFormatError(ValueError):
 
 @dataclass(frozen=True)
 class MeasurementNoise:
-    """counts_scale: expected detections per setting (Poisson counting noise);
-    distinguishability: spectral overlap factor damping all visibilities."""
+    """counts_scale: expected detections per setting (Poisson counting noise,
+    None = exact rates); distinguishability: spectral overlap factor damping
+    all visibilities (1 = none). The default instance is the noiseless run."""
 
     counts_scale: float | None = None
     distinguishability: float = 1.0
 
     def __post_init__(self):
-        if self.counts_scale is not None and not self.counts_scale > 0:
-            raise ValueError(f"counts_scale must be positive, got {self.counts_scale}")
+        if self.counts_scale is not None and not 0 < self.counts_scale < math.inf:
+            raise ValueError(f"counts_scale must be positive and finite, got {self.counts_scale}")
         if not (0.0 <= self.distinguishability <= 1.0):
             raise ValueError(f"distinguishability must lie in [0, 1], got {self.distinguishability}")
 
@@ -99,27 +102,26 @@ class MeasurementSet:
             raise MeasurementFormatError(f"'m' must be an integer, got {m!r}")
         if not isinstance(raw_vis, list):
             raise MeasurementFormatError("'visibilities' must be a list of records")
-        try:
-            I = np.asarray(raw_int, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            I = None
-        if I is None or I.shape != (m, m):
+        if not (isinstance(raw_int, list) and len(raw_int) == m
+                and all(isinstance(row, list) and len(row) == m for row in raw_int)):
             raise MeasurementFormatError(f"'intensities' must be a {m}x{m} array of numbers")
+        I = np.array([[finite_number(v, f"'intensities'[{j}][{i}]", MeasurementFormatError)
+                       for i, v in enumerate(row)] for j, row in enumerate(raw_int)]).reshape(m, m)
         vis = {}
-        for rec in raw_vis:
-            try:
-                i, i2 = (int(v) for v in rec["inputs"])
-                j, j2 = (int(v) for v in rec["outputs"])
-                vis[((i, i2), (j, j2))] = float(rec["value"])
-            except (KeyError, TypeError, ValueError, OverflowError):
-                raise MeasurementFormatError(f"bad visibility record: {rec!r}") from None
+        for n, rec in enumerate(raw_vis):
+            field = f"'visibilities'[{n}]"
+            if not isinstance(rec, dict) or not {"inputs", "outputs", "value"} <= rec.keys():
+                raise MeasurementFormatError(f"{field} must have 'inputs', 'outputs' and 'value'")
+            pairs = (rec["inputs"], rec["outputs"])
+            if not all(isinstance(p, list) and len(p) == 2
+                       and all(isinstance(k, int) and not isinstance(k, bool) for k in p)
+                       for p in pairs):
+                raise MeasurementFormatError(f"{field} 'inputs' and 'outputs' must be integer pairs")
+            key = tuple(tuple(p) for p in pairs)
+            vis[key] = finite_number(rec["value"], f"{field} 'value'", MeasurementFormatError)
         scale = payload.get("counts_scale")
-        if isinstance(scale, bool) or not isinstance(scale, (int, float, type(None))):
-            raise MeasurementFormatError(f"'counts_scale' must be a number or null, got {scale!r}")
-        try:
-            scale = None if scale is None else float(scale)
-        except OverflowError:
-            raise MeasurementFormatError("'counts_scale' must be finite") from None
+        if scale is not None:
+            scale = finite_number(scale, "'counts_scale'", MeasurementFormatError)
         return cls(I, vis, scale)
 
 
@@ -159,10 +161,11 @@ def _pair_indices(pairs):
     return pi, pi2, pj, pj2
 
 
-def _coincidences(M, A2, idx):
+def _coincidences(M, idx):
     """Interfering (C_min) and distinguishable (C_max) coincidences of the pairs
-    in idx = _pair_indices(pairs); A2 holds the squared amplitudes |M|^2."""
+    in idx = _pair_indices(pairs)."""
     pi, pi2, pj, pj2 = idx
+    A2 = np.abs(M) ** 2
     cmin = np.abs(M[pj, pi] * M[pj2, pi2] + M[pj2, pi] * M[pj, pi2]) ** 2
     cmax = A2[pj, pi] * A2[pj2, pi2] + A2[pj2, pi] * A2[pj, pi2]
     return cmin, cmax
@@ -184,35 +187,30 @@ def _with_phases(A, phases):
     return A * np.exp(1j * P)
 
 
-def synthesize_measurements(U, noise: MeasurementNoise | None = None,
+def synthesize_measurements(U, noise: MeasurementNoise = MeasurementNoise(),
                             random_source=None) -> MeasurementSet:
     """Simulate the full characterization run against a known unitary.
 
-    Noiseless output is exact. With noise, intensities and both coincidence
-    rates per pair are replaced by Poisson draws at counts_scale, and partial
-    distinguishability pulls C_min toward the non-interfering C_max before
-    counting.
+    With the default noise the output is exact. Partial distinguishability
+    pulls C_min toward the non-interfering C_max; with a counts_scale,
+    intensities and both coincidence rates per pair are then replaced by
+    Poisson draws at that scale.
     """
     M = require_unitary(U)
     pairs = all_pairs(M.shape[0])
     intensities = np.abs(M) ** 2
-    cmin, cmax = _coincidences(M, intensities, _pair_indices(pairs))
-    if noise is not None:
+    cmin, cmax = _coincidences(M, _pair_indices(pairs))
+    if noise.distinguishability < 1.0:
         cmin = cmax - noise.distinguishability * (cmax - cmin)
-    if noise is not None and noise.counts_scale is not None:
+    if noise.counts_scale is not None:
         if random_source is None:
             raise ValueError("counting noise requires a random_source")
         scale = noise.counts_scale
-        intensities = random_source.poisson(intensities * scale) / scale
-        nmax = random_source.poisson(cmax * scale).astype(float)
-        nmin = random_source.poisson(cmin * scale).astype(float)
-        vis = np.where(nmax > 0, (nmax - nmin) / np.maximum(nmax, 1.0), 0.0)
-        vis = np.clip(vis, -1.0, 1.0)
-        intensities = np.clip(intensities, 0.0, 1.0)
-    else:
-        vis = _visibilities(cmin, cmax)
-    scale_out = noise.counts_scale if noise is not None else None
-    return MeasurementSet(intensities, dict(zip(pairs, vis.tolist())), scale_out)
+        intensities = np.clip(random_source.poisson(intensities * scale) / scale, 0.0, 1.0)
+        cmax = random_source.poisson(cmax * scale).astype(float)
+        cmin = random_source.poisson(cmin * scale).astype(float)
+    vis = np.clip(_visibilities(cmin, cmax), -1.0, 1.0)
+    return MeasurementSet(intensities, dict(zip(pairs, vis.tolist())), noise.counts_scale)
 
 
 def _gauge_fix_matrix(U: np.ndarray) -> np.ndarray:
@@ -250,9 +248,9 @@ def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
     Amplitudes start at sqrt(intensity); the (m-1)^2 free phases are fitted to
     the measured visibilities by multi-start Levenberg-Marquardt. Restart 0
     seeds |phase| estimates analytically from the first-input/first-output
-    anchored pairs; later restarts randomize the signs. A joint polish then
-    releases the amplitudes, and the result is projected to the closest
-    unitary. Failure (best residual above threshold) is reported, not raised.
+    anchored pairs; later restarts randomize the signs. The best restart is
+    projected to the closest unitary. Failure (best residual above the
+    finite, non-negative residual_threshold) is reported, not raised.
     """
     m = meas.mode_count
     if m < 2:
@@ -261,6 +259,8 @@ def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
         raise ValueError(f"m <= {MAX_MODES} supported, got {m}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if not 0.0 <= residual_threshold < math.inf:
+        raise ValueError(f"residual_threshold must be finite and >= 0, got {residual_threshold}")
     # imported here: scipy.optimize is most of the package's import time
     from scipy.optimize import least_squares
 
@@ -283,13 +283,13 @@ def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
 
     def residuals(phi):
         M = _with_phases(A, phi)
-        return np.concatenate([_visibilities(*_coincidences(M, np.abs(M) ** 2, idx)) - vmeas,
+        return np.concatenate([_visibilities(*_coincidences(M, idx)) - vmeas,
                                unitarity_rows(M)])
 
     # analytic |phase| seed: for pair ((0,i),(0,j)) the visibility depends
     # only on cos(phase_ji) once the gauge zeroes the anchoring entries
     est = np.zeros((m - 1, m - 1))
-    cmax = _coincidences(A, A ** 2, idx)[1]
+    cmax = _coincidences(A, idx)[1]
     for a, ((i, i2), (j, j2)) in enumerate(pairs):
         if i == 0 and j == 0:
             den = 2.0 * A[j, i] * A[j2, i2] * A[j2, i] * A[j, i2]
@@ -313,29 +313,17 @@ def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
         if best.cost < 1e-18:
             break
 
-    # joint polish: free the amplitudes, keep them tied to the intensities
-    def polish_residuals(x):
-        Af = x[:m * m].reshape(m, m)
-        Mf = _with_phases(Af, x[m * m:])
-        A2 = Af ** 2
-        return np.concatenate([_visibilities(*_coincidences(Mf, A2, idx)) - vmeas,
-                               (A2 - meas.intensities).ravel(), unitarity_rows(Mf)])
+    recovered = unitarize(_with_phases(A, best.x))
 
-    x0 = np.concatenate([A.ravel(), best.x])
-    polished = least_squares(polish_residuals, x0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    amplitudes = np.abs(polished.x[:m * m].reshape(m, m))
-    recovered = unitarize(_with_phases(amplitudes, polished.x[m * m:]))
-
-    final = _visibilities(*_coincidences(recovered, np.abs(recovered) ** 2, idx)) - vmeas
+    final = _visibilities(*_coincidences(recovered, idx)) - vmeas
     residual = float(np.sqrt(np.mean(final ** 2)))
-    report = ReconstructionReport(
+    return ReconstructionReport(
         success=residual <= residual_threshold,
         unitary=GaugeFixedUnitary(canonical_form(recovered)),
         residual=residual,
         threshold=residual_threshold,
         restarts_used=used,
     )
-    return report
 
 
 def compare_to_truth(candidate, truth, amplitude_floor: float = 1e-6):

@@ -27,7 +27,11 @@ from .numerics import ContractError, DimensionError, hermitian_eig
 from .polarization import as_bits
 
 MAX_QUBITS = 8
+# a density builds (polar grid) x 2^m real arrays: about 205 MB at this grid and MAX_QUBITS
+MAX_POLAR_GRID = 65536
 _KEY_CHUNK = 65536
+# uniforms drawn per attack chunk (trials x m): 32 MB of float64
+_ATTACK_DRAWS = 1 << 22
 
 
 class ResourceError(ValueError):
@@ -41,6 +45,8 @@ class KeyEnsemble:
     kind "linear": d rotations by k*pi/d in the H/V plane.
     kind "poincare": a (d1, d2, d3) Euler-angle grid covering the full sphere
     uniformly (the polar coordinate is sampled uniformly in cos(beta)).
+    The polar grid (d, or d2) is at most MAX_POLAR_GRID; d1 and d3 cost
+    nothing (see the module docstring) and are not bounded.
     """
 
     kind: str
@@ -55,6 +61,10 @@ class KeyEnsemble:
         if any(int(d) != d or d < 1 for d in self.dims):
             raise ValueError(f"grid sizes must be integers >= 1, got {self.dims}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        polar = self.dims[0] if self.kind == "linear" else self.dims[1]
+        if polar > MAX_POLAR_GRID:
+            raise ResourceError(f"ensemble {self.label} has a polar grid of {polar} angles; "
+                                f"at most {MAX_POLAR_GRID} supported")
 
     @property
     def size(self) -> int:
@@ -203,6 +213,8 @@ def simulate_attack(m: int, d: int, plaintext, trials: int, random_source) -> fl
     bit-string equals the plaintext. For a linear key with angle theta each
     measured bit matches its plaintext bit with probability cos^2(theta),
     whichever value the bit has, so one uniform draw decides each qubit.
+    Trials run in chunks of at most _ATTACK_DRAWS uniforms, so memory does not
+    grow with m.
     """
     bits = as_bits(plaintext)
     if len(bits) != m:
@@ -211,14 +223,14 @@ def simulate_attack(m: int, d: int, plaintext, trials: int, random_source) -> fl
         raise ValueError("d must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    chunk = max(1, min(_KEY_CHUNK, _ATTACK_DRAWS // m))
     wins = 0
     left = trials
     while left > 0:
-        n = min(left, _KEY_CHUNK)
+        n = min(left, chunk)
         theta = random_source.integers(0, d, size=n) * (np.pi / d)
         match_prob = np.cos(theta) ** 2
-        u = random_source.random((n, m))
-        wins += int(np.all(u < match_prob[:, None], axis=1).sum())
+        wins += int(np.all(random_source.random((n, m)) < match_prob[:, None], axis=1).sum())
         left -= n
     return wins / trials
 

@@ -14,11 +14,13 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .numerics import ContractError, DimensionError, permanent, require_unitary
+from .numerics import ContractError, DimensionError, finite_number, permanent, require_unitary
 from .polarization import PolarizationKey, as_bits, encrypt, projection_probability
 
 MAX_WALKERS = 6
 SHOT_BATCHES = 16
+# sampling holds under 200 MB at this bound with all SHOT_BATCHES in flight
+MAX_SHOTS = 10 ** 7
 
 
 class EncodingError(ValueError):
@@ -97,8 +99,9 @@ def _distribution(U, input_occupation, interference: bool) -> dict[tuple[int, ..
     """Transition law P(source -> T) over all n-photon output multisets.
 
     interference=True gives the bosonic law |Per(U_ST)|^2/(s! t!); False gives
-    the distinguishable-photon law Per(|U_ST|^2)/(s! t!), which is the same
-    expression with the interference cross terms removed.
+    the distinguishable-photon law Per(|U_ST|^2)/t!. Photons sharing a source
+    mode are labelled apart in the classical law, so its s! repeated column
+    orderings are distinct histories and are not divided out.
     """
     source = as_occupation(input_occupation)
     U = require_unitary(U)
@@ -112,10 +115,10 @@ def _distribution(U, input_occupation, interference: bool) -> dict[tuple[int, ..
     for target in occupation_states(len(source), n):
         sub = _transition_submatrix(U, source, target)
         if interference:
-            p = abs(permanent(sub)) ** 2
+            p = abs(permanent(sub)) ** 2 / s_fact
         else:
             p = permanent(np.abs(sub) ** 2).real
-        probs[target] = p / (s_fact * _occupation_factorial(target))
+        probs[target] = p / _occupation_factorial(target)
     total = sum(probs.values())
     if abs(total - 1.0) > 1e-9:
         raise ContractError(f"transition law failed to normalize: sum = {total!r}")
@@ -218,8 +221,8 @@ def run_protocol(U, plaintext, key: PolarizationKey, shots: int, random_source,
     The result carries the exact recorded law, equal to protocol_distribution.
     """
     M, bits = _device_and_bits(U, plaintext)
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
 
     # encryption/decryption faithfulness: the key basis must recover each bit
     for bit, state in zip(bits, encrypt(bits, key)):
@@ -273,11 +276,11 @@ def bhattacharyya_fidelity(p: dict, q: dict) -> float:
 
 # ------------------------------------------------------------------ devices
 
-def unitary_to_payload(U, m: int | None = None) -> dict:
+def unitary_to_payload(U) -> dict:
     """Serialize a mode unitary to the device-file JSON structure."""
     M = np.asarray(U, dtype=complex)
     return {
-        "m": int(m if m is not None else M.shape[0]),
+        "m": int(M.shape[0]),
         "unitary": [[[float(z.real), float(z.imag)] for z in row] for row in M],
     }
 
@@ -297,14 +300,8 @@ def unitary_from_payload(payload) -> np.ndarray:
         if not isinstance(row, list) or len(row) != m:
             raise DeviceFormatError(f"row {j} must have {m} entries")
         for i, cell in enumerate(row):
-            if (not isinstance(cell, list) or len(cell) != 2
-                    or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                               for v in cell)):
-                raise DeviceFormatError(f"'unitary' entry ({j},{i}) must be [re, im] numbers")
-            try:
-                out[j, i] = complex(cell[0], cell[1])
-            except OverflowError:
-                raise DeviceFormatError(f"'unitary' entry ({j},{i}) must be finite") from None
-    if not np.all(np.isfinite(out)):
-        raise DeviceFormatError("device entries must be finite")
+            field = f"'unitary' entry ({j},{i})"
+            if not isinstance(cell, list) or len(cell) != 2:
+                raise DeviceFormatError(f"{field} must be [re, im] numbers")
+            out[j, i] = complex(*(finite_number(v, field, DeviceFormatError) for v in cell))
     return out

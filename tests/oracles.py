@@ -66,6 +66,29 @@ def polynomial_distribution(U: np.ndarray, source) -> dict:
     return out
 
 
+def distinguishable_distribution(U: np.ndarray, source) -> dict:
+    """Output law of distinguishable photons by polynomial multiplication over |U|^2.
+
+    Each photon independently leaves input mode i for output j with probability
+    |U[j, i]|^2; multiplying the per-photon forms sum_j |U[j, i]|^2 x_j and
+    collecting monomials x_1^t1...x_m^tm gives P(t) as the coefficient itself.
+    """
+    m = U.shape[0]
+    weights = np.abs(U) ** 2
+    poly = {(0,) * m: 1.0}
+    for i, count in enumerate(source):
+        for _ in range(count):
+            nxt = {}
+            for mono, coeff in poly.items():
+                for j in range(m):
+                    key = list(mono)
+                    key[j] += 1
+                    key = tuple(key)
+                    nxt[key] = nxt.get(key, 0.0) + coeff * weights[j, i]
+            poly = nxt
+    return poly
+
+
 def permanent_by_definition(A: np.ndarray) -> complex:
     """Textbook sum over permutations; exponential, for cross-checks only."""
     n = A.shape[0]

@@ -89,16 +89,24 @@ class TestWalkCommand:
 
 
 class TestDeviceFiles:
-    def write(self, tmp_path, payload):
-        path = tmp_path / "device.json"
+    def write(self, tmp_path, payload, name="device.json"):
+        path = tmp_path / name
         path.write_text(json.dumps(payload))
         return str(path)
 
     def test_boolean_fields_exit_2(self, tmp_path):
-        for payload, field in (({"m": True, "unitary": [[[1, 0]]]}, "'m'"),
-                               ({"m": 1, "unitary": [[[True, False]]]}, "'unitary' entry")):
-            proc = run_cli("walk", "--device", self.write(tmp_path, payload),
-                           "--input", "0", "--shots", "10")
+        cases = [(("walk", "--device", self.write(tmp_path, payload, f"device{k}.json"),
+                   "--input", "0", "--shots", "10"), field)
+                 for k, (payload, field) in enumerate((
+                     ({"m": True, "unitary": [[[1, 0]]]}, "'m'"),
+                     ({"m": 1, "unitary": [[[True, False]]]}, "'unitary' entry")))]
+        # work bounds: rejected before the arrays they would need are allocated
+        cases += [(("security", "--m", "8", "--ensemble", "linear:5000000"), "ensemble"),
+                  (("security", "--m", "8", "--ensemble", "poincare:3,5000000,1"), "ensemble"),
+                  (("walk", "--device", "u1", "--input", "0101", "--shots", "10000000000"),
+                   "shots")]
+        for argv, field in cases:
+            proc = run_cli(*argv)
             assert proc.returncode == 2
             assert field in proc.stderr
             assert "Traceback" not in proc.stderr
@@ -213,8 +221,16 @@ class TestReconstructCommand:
         nan_intensity["intensities"][1][2] = math.nan
         nan_visibility = json.loads(json.dumps(good))
         nan_visibility["visibilities"][0]["value"] = math.nan
+        string_intensity = json.loads(json.dumps(good))
+        string_intensity["intensities"][0][1] = "0.5"
+        record = good["visibilities"][0]
+        bad_records = [dict(record, inputs=[0.2, 1.7]), dict(record, value="1.0"),
+                       dict(record, value=True)]
         path = tmp_path / "meas.json"
         for payload, field in ((nan_intensity, "intensities"),
+                               (string_intensity, "intensities"),
+                               *((dict(good, visibilities=[rec]), "visibilities")
+                                 for rec in bad_records),
                                (nan_visibility, "visibilities"),
                                (dict(good, counts_scale=math.inf), "counts_scale"),
                                (dict(good, counts_scale=-math.inf), "counts_scale"),
@@ -232,6 +248,20 @@ class TestReconstructCommand:
         assert proc.returncode == 2
         proc = run_cli("reconstruct", "--device", "u1", "--noise", "poisson")
         assert proc.returncode == 2
+
+    def test_out_of_range_flags_exit_2(self, capsys):
+        for flag, value, field in (("--distinguishability", "1.5", "distinguishability"),
+                                   ("--distinguishability", "nan", "distinguishability"),
+                                   ("--threshold", "nan", "threshold")):
+            assert main(["reconstruct", "--device", "u1", "--restarts", "1", flag, value]) == 2
+            captured = capsys.readouterr()
+            assert field in captured.err
+            assert captured.out == ""
+
+    def test_distinguishability_alone_is_not_counting_noise(self):
+        report = run_json("reconstruct", "--device", "identity4", "--distinguishability", "0.9")
+        assert report["config"]["noise"] == "none"
+        assert report["measurements"]["counts_scale"] is None
 
 
 class TestDevicesCommand:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,25 @@ class TestReconstruct:
         assert np.max(amp) <= 1e-6
         assert np.max(phase) <= 1e-6
 
+    def test_noisy_haar_amplitudes_stay_at_the_counting_floor(self):
+        # the fitted amplitudes are the measured sqrt(intensities), up to the
+        # final projection; freeing them in a joint fit made them worse
+        rng = np.random.default_rng(2024)
+        for i in range(12):
+            U = haar_unitary(4, rng)
+            meas = synthesize_measurements(U, MeasurementNoise(counts_scale=1e5),
+                                           np.random.default_rng(i))
+            report = reconstruct_unitary(meas, seed=i)
+            assert report.success
+            amp, _ = compare_to_truth(report.unitary.matrix, U)
+            assert np.max(amp) <= 8e-3
+
+    def test_rejects_bad_threshold(self):
+        meas = synthesize_measurements(COUPLER)
+        for bad in (math.nan, math.inf, -0.1):
+            with pytest.raises(ValueError, match="residual_threshold"):
+                reconstruct_unitary(meas, residual_threshold=bad)
+
     def test_deterministic(self):
         meas = synthesize_measurements(
             U1, MeasurementNoise(counts_scale=1e4), make_rng(9))
@@ -196,7 +217,12 @@ class TestPayload:
 
     def test_malformed(self):
         good = synthesize_measurements(COUPLER).to_payload()
+        record = good["visibilities"][0]
         for corrupt in (
+            dict(good, visibilities=[dict(record, inputs=[0.2, 1.7])]),
+            dict(good, intensities=[["0.5", 0.5], [0.5, 0.5]]),
+            dict(good, visibilities=[dict(record, value="1.0")]),
+            dict(good, visibilities=[dict(record, value=True)]),
             [],
             {},
             {"m": 2, "intensities": [[1, 0]], "visibilities": []},
@@ -226,7 +252,11 @@ def test_noise_model_validation():
     with pytest.raises(ValueError):
         MeasurementNoise(counts_scale=0.0)
     with pytest.raises(ValueError):
+        MeasurementNoise(counts_scale=math.inf)
+    with pytest.raises(ValueError):
         MeasurementNoise(distinguishability=1.5)
+    with pytest.raises(ValueError):
+        MeasurementNoise(distinguishability=math.nan)
 
 
 def test_compare_masks_vanishing_entries():

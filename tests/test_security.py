@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qhewalk.numerics import ContractError, DimensionError
-from qhewalk.security import (KeyEnsemble, ResourceError, attack_asymptote,
+from qhewalk.security import (MAX_POLAR_GRID, KeyEnsemble, ResourceError, attack_asymptote,
                               attack_success, encrypted_density,
                               hidden_bits_linear_asymptotic, holevo,
                               holevo_poincare_limit, linear_ensemble,
@@ -239,6 +240,16 @@ class TestAttack:
         b = simulate_attack(4, 6, "1011", 50000, make_rng(1))
         assert a == b  # same draws, same per-qubit match probabilities
 
+    def test_simulation_memory_independent_of_m(self):
+        # trials are chunked by uniforms drawn, so the paper's m = 3500 stays small
+        tracemalloc.start()
+        try:
+            simulate_attack(3500, 12, "0" * 3500, 20000, make_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
     def test_simulation_validation(self):
         with pytest.raises(DimensionError):
             simulate_attack(4, 2, "011", 10, make_rng())
@@ -322,3 +333,12 @@ def test_ensemble_kind_validation():
         KeyEnsemble("circular", (4,))
     with pytest.raises(ValueError):
         KeyEnsemble("linear", (4, 4))
+
+
+def test_polar_grid_bound():
+    # only the polar grid costs memory; d1 and d3 are averaged away for free
+    for label in (f"linear:{MAX_POLAR_GRID + 1}", f"poincare:3,{MAX_POLAR_GRID + 1},1"):
+        with pytest.raises(ResourceError, match="ensemble"):
+            parse_ensemble(label)
+    parse_ensemble(f"linear:{MAX_POLAR_GRID}")
+    parse_ensemble(f"poincare:{10 ** 9},{MAX_POLAR_GRID},{10 ** 9}")

@@ -4,13 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from qhewalk.numerics import ContractError, DimensionError, unitarize
 from qhewalk.polarization import linear_key, sample_haar_key
-from qhewalk.walk import (DeviceFormatError, EncodingError, NoiseModel,
+from qhewalk.walk import (MAX_SHOTS, DeviceFormatError, EncodingError, NoiseModel,
                           bhattacharyya_fidelity, classical_output_distribution,
                           encode_input, occupation_states,
                           occupation_to_bits, output_distribution,
                           protocol_distribution, run_protocol, unitary_from_payload,
                           unitary_to_payload, walker_pattern)
-from oracles import haar_unitary, polynomial_distribution, total_variation
+from oracles import (distinguishable_distribution, haar_unitary, polynomial_distribution,
+                     total_variation)
 
 U1_PRINTED = np.array([
     [0.74, 0.38, 0.39, 0.40],
@@ -141,6 +142,22 @@ class TestClassicalAndNoise:
         assert c[(1, 1)] == pytest.approx(0.5)
         assert c[(2, 0)] == pytest.approx(0.25)
         assert c[(0, 2)] == pytest.approx(0.25)
+        bunched = classical_output_distribution(COUPLER, (2, 0))
+        assert bunched == pytest.approx({(2, 0): 0.25, (1, 1): 0.5, (0, 2): 0.25}, abs=1e-15)
+
+    def test_classical_law_matches_polynomial_oracle_on_bunched_sources(self):
+        rng = np.random.default_rng(31)
+        for m in range(2, 5):
+            U = haar_unitary(m, rng)
+            for n in range(2, 5):
+                for source in occupation_states(m, n):
+                    if max(source) < 2:
+                        continue
+                    law = classical_output_distribution(U, source)
+                    ref = distinguishable_distribution(U, source)
+                    assert set(law) >= set(ref)
+                    for t, p in law.items():
+                        assert p == pytest.approx(ref.get(t, 0.0), abs=1e-12)
 
     def test_partial_visibility_interpolates(self):
         noise = NoiseModel(hom_visibility=0.88)
@@ -231,8 +248,9 @@ class TestRunProtocol:
             run_protocol(U1, "011", linear_key(0, 1), 10, make_rng())
 
     def test_bad_shots(self):
-        with pytest.raises(ValueError):
-            run_protocol(U1, "0111", linear_key(0, 1), 0, make_rng())
+        for shots in (0, MAX_SHOTS + 1):
+            with pytest.raises(ValueError, match="shots"):
+                run_protocol(U1, "0111", linear_key(0, 1), shots, make_rng())
 
 
 class TestBhattacharyya:
