@@ -10,13 +10,12 @@ what an adversary without the key can learn, and recovers device unitaries
 from synthetic interference data.
 """
 from .numerics import hermitian_eig, permanent, permanent_naive, unitarize
-from .polarization import PolarizationKey, encrypt, linear_key, sample_haar_key
+from .polarization import (KeyEnsemble, PolarizationKey, encrypt, linear_ensemble, linear_key,
+                           poincare_ensemble, sample_haar_key)
 from .reconstruct import (GaugeFixedUnitary, MeasurementNoise, MeasurementSet,
                           gauge_fix, reconstruct_unitary, synthesize_measurements)
-from .security import (KeyEnsemble, attack_asymptote, attack_success,
-                       encrypted_density, holevo, linear_ensemble,
-                       poincare_ensemble, simulate_attack, trace_distance,
-                       von_neumann_entropy)
+from .security import (attack_asymptote, attack_success, encrypted_density, holevo,
+                       simulate_attack, trace_distance, von_neumann_entropy)
 from .walk import (NoiseModel, bhattacharyya_fidelity, encode_input,
                    output_distribution, protocol_distribution, run_protocol)
 

@@ -26,13 +26,12 @@ from pathlib import Path
 import numpy as np
 
 from .numerics import unitarize
-from .polarization import PolarizationKey, as_bits, linear_key, sample_haar_key
+from .polarization import PolarizationKey, as_bits, parse_ensemble, parse_grid
 from .reconstruct import (MeasurementNoise, MeasurementSet, compare_to_truth,
                           reconstruct_unitary, synthesize_measurements)
 from .security import (encrypted_density, attack_asymptote, attack_success,
                        hidden_bits_linear_asymptotic, holevo, holevo_poincare_limit,
-                       parse_ensemble, simulate_attack, trace_distance,
-                       von_neumann_entropy)
+                       simulate_attack, trace_distance, von_neumann_entropy)
 from .walk import (NoiseModel, bhattacharyya_fidelity, occupation_to_bits,
                    run_protocol, unitary_from_payload, unitary_to_payload)
 
@@ -72,6 +71,14 @@ class Device:
     source: str
 
 
+def read_json(path):
+    """Parse a JSON file; one that is not JSON text raises a ValueError naming the path."""
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a JSON file ({exc})") from None
+
+
 def load_device(name_or_path: str) -> Device:
     """Load a builtin device by name or any device JSON by path.
 
@@ -79,17 +86,15 @@ def load_device(name_or_path: str) -> Device:
     the closest unitary on load; projection_distance records how far it moved.
     A device that would move more than MAX_PROJECTION_DISTANCE is rejected.
     """
+    path = Path(name_or_path)
+    name, source = path.stem, str(path)
     if name_or_path in BUILTIN_DEVICES:
-        text = resources.files("qhewalk").joinpath(f"devices/{name_or_path}.json").read_text()
+        path = resources.files("qhewalk").joinpath(f"devices/{name_or_path}.json")
         name, source = name_or_path, "builtin"
-    else:
-        path = Path(name_or_path)
-        if not path.is_file():
-            raise ValueError(f"unknown device {name_or_path!r}: not a builtin "
-                             f"({', '.join(BUILTIN_DEVICES)}) and not a file")
-        text = path.read_text()
-        name, source = path.stem, str(path)
-    raw = unitary_from_payload(json.loads(text))
+    elif not path.is_file():
+        raise ValueError(f"unknown device {name_or_path!r}: not a builtin "
+                         f"({', '.join(BUILTIN_DEVICES)}) and not a file")
+    raw = unitary_from_payload(read_json(path))
     exact = unitarize(raw)
     distance = float(np.max(np.abs(exact - raw)))
     if distance > MAX_PROJECTION_DISTANCE:
@@ -108,28 +113,20 @@ def device_echo(device: Device) -> dict:
 
 
 def parse_key_spec(spec: str, random_source) -> tuple[PolarizationKey, dict]:
-    """Key specs: linear:K/D | euler:ALPHA,BETA,GAMMA | haar[:D1,D2,D3]."""
+    """Key specs: linear:K/D (point K of linear:D) | euler:ALPHA,BETA,GAMMA | haar[:D1,D2,D3]."""
     kind, sep, rest = spec.partition(":")
-    if kind == "linear":
-        k_str, slash, d_str = rest.partition("/")
-        if not slash:
-            raise ValueError(f"linear key must look like linear:K/D, got {spec!r}")
-        key = linear_key(int(k_str), int(d_str))
-    elif kind == "euler":
-        parts = rest.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"euler key must look like euler:A,B,G, got {spec!r}")
-        key = PolarizationKey(*(float(p) for p in parts))
-    elif kind == "haar":
-        dims = (64, 64, 64)
-        if sep:
-            parts = rest.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"haar key grid must look like haar:D1,D2,D3, got {spec!r}")
-            dims = tuple(int(p) for p in parts)
-        key = sample_haar_key(random_source, *dims)
-    else:
-        raise ValueError(f"unknown key spec {spec!r} (expected linear:K/D, euler:A,B,G or haar)")
+    k, slash, d = rest.partition("/")
+    try:
+        if kind == "linear" and slash:
+            key = parse_ensemble(f"linear:{d}").key(*parse_grid(k))
+        elif kind == "euler" and len(rest.split(",")) == 3:
+            key = PolarizationKey(*(float(p) for p in rest.split(",")))
+        elif kind == "haar":
+            key = parse_ensemble(f"poincare:{rest if sep else '64,64,64'}").sample(random_source)
+        else:
+            raise ValueError("expected linear:K/D, euler:A,B,G or haar[:D1,D2,D3]")
+    except ValueError as exc:
+        raise ValueError(f"key {spec!r}: {exc}") from None
     echo = {"spec": spec, "alpha": float(key.alpha), "beta": float(key.beta),
             "gamma": float(key.gamma)}
     return key, echo
@@ -342,17 +339,20 @@ def cmd_security(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     rng = make_rng(args.seed)
+    for field in ("noise", "counts", "distinguishability"):
+        if args.measurements and getattr(args, field) is not None:
+            raise ValueError(f"{field} applies to synthesized data, not to --measurements")
     if args.noise == "poisson" and args.counts is None:
         raise ValueError("--noise poisson requires --counts")
     if args.noise == "none" and args.counts is not None:
         raise ValueError("--noise none contradicts --counts")
 
-    noise = MeasurementNoise(counts_scale=args.counts, distinguishability=args.distinguishability)
+    distinguishability = 1.0 if args.distinguishability is None else args.distinguishability
+    noise = MeasurementNoise(args.counts, distinguishability)
     device = load_device(args.device) if args.device else None
 
     if args.measurements:
-        payload = json.loads(Path(args.measurements).read_text())
-        meas = MeasurementSet.from_payload(payload)
+        meas = MeasurementSet.from_payload(read_json(Path(args.measurements)))
         noise_echo = "file"
     elif device is not None:
         meas = synthesize_measurements(device.unitary, noise, rng)
@@ -371,7 +371,7 @@ def cmd_reconstruct(args) -> int:
             "measurements": args.measurements,
             "noise": noise_echo,
             "counts": None if args.counts is None else float(args.counts),
-            "distinguishability": float(args.distinguishability),
+            "distinguishability": float(noise.distinguishability),
             "restarts": int(args.restarts),
             "threshold": float(args.threshold),
             "seed": int(args.seed),
@@ -401,8 +401,7 @@ def cmd_devices(args) -> int:
     if args.dump:
         if args.dump not in BUILTIN_DEVICES:
             raise ValueError(f"unknown builtin device {args.dump!r}")
-        text = resources.files("qhewalk").joinpath(f"devices/{args.dump}.json").read_text()
-        payload = json.loads(text)
+        payload = read_json(resources.files("qhewalk").joinpath(f"devices/{args.dump}.json"))
         _emit(_json_text(payload), args.out)
         return 0
     report = {
@@ -465,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--noise", choices=["none", "poisson"], default=None)
     rec.add_argument("--counts", type=float, default=None,
                      help="expected detections per setting (implies Poisson noise)")
-    rec.add_argument("--distinguishability", type=float, default=1.0,
+    rec.add_argument("--distinguishability", type=float, default=None,
                      help="spectral overlap damping all visibilities (default 1.0)")
     rec.add_argument("--restarts", type=int, default=16)
     rec.add_argument("--threshold", type=float, default=0.05,

@@ -94,46 +94,118 @@ def rotation_matrix(key: PolarizationKey) -> np.ndarray:
     return rotation_matrices(key.alpha, key.beta, key.gamma)
 
 
+# a density builds (polar grid) x 2^m real arrays: about 205 MB at this grid and m = 8
+MAX_POLAR_GRID = 65536
+
+
+class ResourceError(ValueError):
+    """Requested computation exceeds the supported problem size."""
+
+
+@dataclass(frozen=True)
+class KeyEnsemble:
+    """Discrete key set: the sender draws from it, the adversary averages over it.
+
+    kind "linear": d rotations by theta_k = k*pi/d in the H/V plane.
+    kind "poincare": a (d1, d2, d3) Euler grid with alpha = 2*pi*k1/d1,
+    gamma = 2*pi*k3/d3 and beta = 2*theta, theta = asin(sqrt(k2/(d2-1))), so
+    cos(beta) is uniform on [-1, 1] (d2 = 1 gives the pole). Only the polar
+    grid (d, or d2) costs a density anything, so MAX_POLAR_GRID bounds it alone.
+    """
+
+    kind: str
+    dims: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.kind not in ("linear", "poincare"):
+            raise ValueError(f"unknown ensemble kind {self.kind!r}")
+        want = 1 if self.kind == "linear" else 3
+        if len(self.dims) != want:
+            raise ValueError(f"{self.kind} ensemble takes {want} grid size(s), got {self.dims}")
+        if any(int(d) != d or d < 1 for d in self.dims):
+            raise KeyRangeError(f"ensemble grid sizes must be integers >= 1, got {self.dims}")
+        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        if self.polar_size > MAX_POLAR_GRID:
+            raise ResourceError(f"ensemble {self.label} has a polar grid of {self.polar_size} "
+                                f"angles; at most {MAX_POLAR_GRID} supported")
+
+    @property
+    def size(self) -> int:
+        return int(np.prod(self.dims))
+
+    @property
+    def polar_size(self) -> int:
+        return self.dims[0] if self.kind == "linear" else self.dims[1]
+
+    @property
+    def label(self) -> str:
+        return f"{self.kind}:{','.join(str(d) for d in self.dims)}"
+
+    def polar_angles(self, k=None):
+        """theta = beta/2 at polar index k, or at every polar index when k is None."""
+        d = self.polar_size
+        k = np.arange(d) if k is None else k
+        if self.kind == "linear":
+            return k * (np.pi / d)
+        return np.arcsin(np.sqrt(k / max(d - 1, 1)))  # d2 = 1: index 0, the pole
+
+    def key(self, *index) -> PolarizationKey:
+        """Key at grid point (k,) of linear:d or (k1, k2, k3) of poincare:d1,d2,d3.
+
+        A linear key is exactly the real rotation by theta; past pi/2 it folds
+        over via alpha = gamma = pi so beta stays inside [0, pi].
+        """
+        if len(index) != len(self.dims) or not all(0 <= k < d for k, d in zip(index, self.dims)):
+            raise KeyRangeError(f"grid point {index} outside ensemble {self.label}")
+        if self.kind == "linear":
+            theta = self.polar_angles(index[0])
+            if theta <= np.pi / 2:
+                return PolarizationKey(0.0, 2 * theta, 0.0)
+            return PolarizationKey(np.pi, 2 * (np.pi - theta), np.pi)
+        (k1, k2, k3), (d1, _, d3) = index, self.dims
+        return PolarizationKey(2 * np.pi * k1 / d1, 2 * self.polar_angles(k2), 2 * np.pi * k3 / d3)
+
+    def sample(self, random_source) -> PolarizationKey:
+        """Draw a key uniformly from the grid, one integer per axis in order."""
+        return self.key(*(int(random_source.integers(d)) for d in self.dims))
+
+
+def linear_ensemble(d: int) -> KeyEnsemble:
+    return KeyEnsemble("linear", (d,))
+
+
+def poincare_ensemble(d1: int, d2: int, d3: int) -> KeyEnsemble:
+    return KeyEnsemble("poincare", (d1, d2, d3))
+
+
+def parse_grid(text: str) -> tuple[int, ...]:
+    """Comma-separated grid integers: "64,64,64" -> (64, 64, 64)."""
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"grid entries must be integers, got {text!r}") from None
+
+
+def parse_ensemble(text: str) -> KeyEnsemble:
+    """Parse "linear:180" or "poincare:64,64,64"."""
+    kind, sep, rest = text.partition(":")
+    if not sep:
+        raise ValueError(f"ensemble must look like 'linear:<d>' or 'poincare:<d1>,<d2>,<d3>', got {text!r}")
+    try:
+        dims = parse_grid(rest)
+    except ValueError as exc:
+        raise ValueError(f"ensemble {text!r}: {exc}") from None
+    return KeyEnsemble(kind, dims)
+
+
 def linear_key(k: int, d: int) -> PolarizationKey:
-    """Key rotating the linear-polarization plane by k*pi/d.
-
-    The Euler triple is chosen so rotation_matrix gives exactly the real
-    rotation [[cos t, -sin t], [sin t, cos t]] with t = k*pi/d while beta
-    stays inside [0, pi]: angles past pi/2 fold over via alpha = gamma = pi.
-    """
-    if d < 1:
-        raise KeyRangeError(f"d must be >= 1, got {d}")
-    if not (0 <= k < d):
-        raise KeyRangeError(f"k must satisfy 0 <= k < d, got k={k}, d={d}")
-    theta = np.pi * k / d
-    if theta <= np.pi / 2:
-        return PolarizationKey(0.0, 2 * theta, 0.0)
-    return PolarizationKey(np.pi, 2 * (np.pi - theta), np.pi)
-
-
-def key_from_grid(k1: int, k2: int, k3: int, d1: int, d2: int, d3: int) -> PolarizationKey:
-    """Key at one point of the (k1, k2, k3) sphere grid.
-
-    alpha = 2*pi*k1/d1, gamma = 2*pi*k3/d3, and beta = 2*asin(sqrt(xi)) with
-    xi = k2/(d2-1) so cos(beta) is uniform on [-1, 1] (area-uniform sampling);
-    the degenerate d2 = 1 case is pinned to xi = 0.
-    """
-    xi = k2 / (d2 - 1) if d2 > 1 else 0.0
-    return PolarizationKey(
-        2 * np.pi * k1 / d1,
-        2 * np.arcsin(np.sqrt(xi)),
-        2 * np.pi * k3 / d3,
-    )
+    """Key rotating the linear-polarization plane by k*pi/d: point k of linear:d."""
+    return linear_ensemble(d).key(k)
 
 
 def sample_haar_key(random_source, d1: int, d2: int, d3: int) -> PolarizationKey:
-    """Draw a key uniformly from the discretized Haar grid."""
-    if min(d1, d2, d3) < 1:
-        raise KeyRangeError("grid sizes must be >= 1")
-    k1 = int(random_source.integers(d1))
-    k2 = int(random_source.integers(d2))
-    k3 = int(random_source.integers(d3))
-    return key_from_grid(k1, k2, k3, d1, d2, d3)
+    """Draw a key uniformly from the discretized Haar grid poincare:d1,d2,d3."""
+    return poincare_ensemble(d1, d2, d3).sample(random_source)
 
 
 def encrypt(plaintext, key: PolarizationKey) -> list[Polarization]:

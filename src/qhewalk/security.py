@@ -18,81 +18,20 @@ for poincare:d1,d2,d3, independent of d1 * d3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .numerics import ContractError, DimensionError, hermitian_eig
-from .polarization import as_bits
+# the key grids live in polarization and are re-exported here
+from .polarization import (MAX_POLAR_GRID, KeyEnsemble, ResourceError, as_bits,  # noqa: F401
+                           linear_ensemble, parse_ensemble, poincare_ensemble, rotation_matrices)
 
 MAX_QUBITS = 8
-# a density builds (polar grid) x 2^m real arrays: about 205 MB at this grid and MAX_QUBITS
-MAX_POLAR_GRID = 65536
-_KEY_CHUNK = 65536
+# trials per attack chunk, at most; fixes the order of the draws
+_ATTACK_TRIALS = 65536
 # uniforms drawn per attack chunk (trials x m): 32 MB of float64
 _ATTACK_DRAWS = 1 << 22
-
-
-class ResourceError(ValueError):
-    """Requested computation exceeds the supported problem size."""
-
-
-@dataclass(frozen=True)
-class KeyEnsemble:
-    """Discrete set of encryption keys the adversary averages over.
-
-    kind "linear": d rotations by k*pi/d in the H/V plane.
-    kind "poincare": a (d1, d2, d3) Euler-angle grid covering the full sphere
-    uniformly (the polar coordinate is sampled uniformly in cos(beta)).
-    The polar grid (d, or d2) is at most MAX_POLAR_GRID; d1 and d3 cost
-    nothing (see the module docstring) and are not bounded.
-    """
-
-    kind: str
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.kind not in ("linear", "poincare"):
-            raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        want = 1 if self.kind == "linear" else 3
-        if len(self.dims) != want:
-            raise ValueError(f"{self.kind} ensemble takes {want} grid size(s), got {self.dims}")
-        if any(int(d) != d or d < 1 for d in self.dims):
-            raise ValueError(f"grid sizes must be integers >= 1, got {self.dims}")
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        polar = self.dims[0] if self.kind == "linear" else self.dims[1]
-        if polar > MAX_POLAR_GRID:
-            raise ResourceError(f"ensemble {self.label} has a polar grid of {polar} angles; "
-                                f"at most {MAX_POLAR_GRID} supported")
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.dims))
-
-    @property
-    def label(self) -> str:
-        return f"{self.kind}:{','.join(str(d) for d in self.dims)}"
-
-
-def linear_ensemble(d: int) -> KeyEnsemble:
-    return KeyEnsemble("linear", (d,))
-
-
-def poincare_ensemble(d1: int, d2: int, d3: int) -> KeyEnsemble:
-    return KeyEnsemble("poincare", (d1, d2, d3))
-
-
-def parse_ensemble(text: str) -> KeyEnsemble:
-    """Parse "linear:180" or "poincare:64,64,64"."""
-    kind, sep, rest = text.partition(":")
-    if not sep:
-        raise ValueError(f"ensemble must look like 'linear:<d>' or 'poincare:<d1>,<d2>,<d3>', got {text!r}")
-    try:
-        dims = tuple(int(p) for p in rest.split(","))
-    except ValueError:
-        raise ValueError(f"ensemble grid sizes must be integers: {text!r}") from None
-    return KeyEnsemble(kind, dims)
 
 
 def _popcount_mask(m: int, d1: int) -> np.ndarray:
@@ -112,19 +51,12 @@ def encrypted_density(x, ensemble: KeyEnsemble) -> np.ndarray:
     m = len(bits)
     if m > MAX_QUBITS:
         raise ResourceError(f"density matrix would be {2 ** m} dimensional; m <= {MAX_QUBITS} supported")
-    if ensemble.kind == "linear":
-        d = ensemble.dims[0]
-        theta = np.arange(d) * (np.pi / d)
-    else:
-        d2 = ensemble.dims[1]
-        # uniform in cos(beta), theta = beta/2; d2 = 1 degenerates to the pole
-        theta = np.arcsin(np.sqrt(np.arange(d2) / (d2 - 1))) if d2 > 1 else np.zeros(1)
-    c, s = np.cos(theta), np.sin(theta)
-    # bit 0 encrypts |H> -> (c, s), bit 1 encrypts |V> -> (-s, c)
-    columns = (np.stack([c, s], axis=1), np.stack([-s, c], axis=1))
+    theta = ensemble.polar_angles()
+    # bit b encrypts to column b of the real rotation by theta
+    rotations = rotation_matrices(0.0, 2 * theta, 0.0).real
     psi = np.ones((theta.size, 1))
     for b in bits:
-        psi = (psi[:, :, None] * columns[b][:, None, :]).reshape(theta.size, -1)
+        psi = (psi[:, :, None] * rotations[:, None, :, b]).reshape(theta.size, -1)
     rho = psi.T @ psi / theta.size
     if ensemble.kind == "poincare":
         rho *= _popcount_mask(m, ensemble.dims[0])
@@ -209,7 +141,7 @@ def attack_asymptote(m) -> float:
 def simulate_attack(m: int, d: int, plaintext, trials: int, random_source) -> float:
     """Monte Carlo of the attack: measure every encrypted qubit in the {H, V} basis.
 
-    Per trial a key is drawn from linear(d); success means the full decoded
+    Per trial a key is drawn from linear_ensemble(d); success means the full decoded
     bit-string equals the plaintext. For a linear key with angle theta each
     measured bit matches its plaintext bit with probability cos^2(theta),
     whichever value the bit has, so one uniform draw decides each qubit.
@@ -219,19 +151,16 @@ def simulate_attack(m: int, d: int, plaintext, trials: int, random_source) -> fl
     bits = as_bits(plaintext)
     if len(bits) != m:
         raise DimensionError(f"plaintext length {len(bits)} != m = {m}")
-    if d < 1:
-        raise ValueError("d must be >= 1")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    chunk = max(1, min(_KEY_CHUNK, _ATTACK_DRAWS // m))
+    angles = linear_ensemble(d).polar_angles()
+    chunk = max(1, min(_ATTACK_TRIALS, _ATTACK_DRAWS // m))
     wins = 0
-    left = trials
-    while left > 0:
-        n = min(left, chunk)
-        theta = random_source.integers(0, d, size=n) * (np.pi / d)
+    for start in range(0, trials, chunk):
+        n = min(chunk, trials - start)
+        theta = angles[random_source.integers(0, d, size=n)]
         match_prob = np.cos(theta) ** 2
         wins += int(np.all(random_source.random((n, m)) < match_prob[:, None], axis=1).sum())
-        left -= n
     return wins / trials
 
 

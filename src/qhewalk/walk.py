@@ -135,18 +135,18 @@ def classical_output_distribution(U, input_occupation) -> dict[tuple[int, ...], 
     return _distribution(U, input_occupation, interference=False)
 
 
-def _visibility_blend(U, source, noise: NoiseModel | None) -> dict[tuple[int, ...], float]:
+def _visibility_blend(U, source, noise: NoiseModel) -> dict[tuple[int, ...], float]:
     quantum = output_distribution(U, source)
-    visibility = noise.hom_visibility if noise is not None else 1.0
+    visibility = noise.hom_visibility
     if visibility >= 1.0:
         return quantum
     classical = classical_output_distribution(U, source)
     return {t: visibility * quantum[t] + (1.0 - visibility) * classical[t] for t in quantum}
 
 
-def _with_spurious(law: dict, noise: NoiseModel | None) -> dict[tuple[int, ...], float]:
+def _with_spurious(law: dict, noise: NoiseModel) -> dict[tuple[int, ...], float]:
     """Admix the uniform spurious-shot law that _sample_batch applies shot by shot."""
-    rate = noise.higher_order_rate if noise is not None else 0.0
+    rate = noise.higher_order_rate
     if rate <= 0.0:
         return law
     return {t: (1.0 - rate) * p + rate / len(law) for t, p in law.items()}
@@ -165,7 +165,7 @@ def occupation_to_bits(occ: tuple[int, ...]) -> str:
     return "".join("0" if c == 1 else "1" for c in occ)
 
 
-def protocol_distribution(U, plaintext, noise: NoiseModel | None = None) -> dict[tuple[int, ...], float]:
+def protocol_distribution(U, plaintext, noise: NoiseModel = NoiseModel()) -> dict[tuple[int, ...], float]:
     """Exact law of the walker occupation recorded by run_protocol.
 
     Includes the modeled noise: visibility-blended interference plus the
@@ -201,7 +201,7 @@ def _sample_batch(rng, outcomes, cumulative, shots, noise):
     """Draw `shots` walker occupations; returns index counts per outcome."""
     u = rng.random(shots)
     idx = np.searchsorted(cumulative, u, side="right")
-    if noise is not None and noise.higher_order_rate > 0.0:
+    if noise.higher_order_rate > 0.0:
         spurious = rng.random(shots) < noise.higher_order_rate
         k = int(spurious.sum())
         if k:
@@ -210,7 +210,7 @@ def _sample_batch(rng, outcomes, cumulative, shots, noise):
 
 
 def run_protocol(U, plaintext, key: PolarizationKey, shots: int, random_source,
-                 noise: NoiseModel | None = None, threads: int = 1) -> ProtocolResult:
+                 noise: NoiseModel = NoiseModel(), threads: int = 1) -> ProtocolResult:
     """Run the encrypted walk end to end and tally decoded outcomes.
 
     Each shot draws a walker output occupation. Dummy photons cross the same

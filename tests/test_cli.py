@@ -121,6 +121,29 @@ class TestDeviceFiles:
         assert "Traceback" not in proc.stderr
 
 
+def test_rejections_name_the_field_or_file(tmp_path):
+    not_json = tmp_path / "not-json.json"
+    not_json.write_text("U = [[1, 0], [0, 1]]\n")
+    meas = tmp_path / "meas.json"
+    meas.write_text(json.dumps(synthesize_measurements(haar_unitary(3, np.random.default_rng(3)))
+                               .to_payload()))
+    walk = ("walk", "--device", "identity4", "--input", "0101", "--shots", "10")
+    fit = ("reconstruct", "--measurements", str(meas), "--restarts", "1", "--threshold", "1e9")
+    cases = [((*walk, "--key", spec), "key")
+             for spec in ("linear:1/x", "linear:1/3/4", "haar:a,b,c", "euler:1,x,1")]
+    cases += [(("walk", "--device", str(not_json), "--input", "01"), str(not_json)),
+              (("reconstruct", "--measurements", str(not_json)), str(not_json)),
+              # synthesis flags cannot shape data read from a file
+              ((*fit, "--counts", "100"), "counts"),
+              ((*fit, "--distinguishability", "0.5"), "distinguishability"),
+              ((*fit, "--noise", "none"), "noise")]
+    for argv, field in cases:
+        proc = run_cli(*argv)
+        assert proc.returncode == 2, argv
+        assert field in proc.stderr, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr
+
+
 class TestAttackCommand:
     def test_single_basis_always_succeeds(self):
         report = run_json("attack", "--m", "4", "--d", "1", "--trials", "1000")

@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from qhewalk.polarization import (H, V, KeyRangeError, PlaintextError,
                                   Polarization, PolarizationKey, as_bits, encrypt,
-                                  key_from_grid, linear_key, projection_probability,
-                                  rotation_matrices, rotation_matrix, sample_haar_key)
+                                  linear_ensemble, linear_key, poincare_ensemble,
+                                  projection_probability, rotation_matrices, rotation_matrix,
+                                  sample_haar_key)
 from oracles import A, D, euler_rotation_expm, measure_in_key_basis
 
 
@@ -132,16 +133,63 @@ class TestEncrypt:
         assert projection_probability(state, linear_key(1, 4)) == pytest.approx(0.5)
 
 
-def test_key_from_grid_endpoints():
-    assert key_from_grid(0, 0, 0, 8, 9, 8).beta == 0.0
-    assert key_from_grid(0, 8, 0, 8, 9, 8).beta == pytest.approx(np.pi)
-    assert key_from_grid(2, 0, 0, 8, 1, 8).beta == 0.0  # degenerate polar grid
+def test_grid_key_endpoints():
+    assert poincare_ensemble(8, 9, 8).key(0, 0, 0).beta == 0.0
+    assert poincare_ensemble(8, 9, 8).key(0, 8, 0).beta == pytest.approx(np.pi)
+    assert poincare_ensemble(8, 1, 8).key(2, 0, 0).beta == 0.0  # degenerate polar grid
+
+
+def real_rotation(theta):
+    return np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+
+
+def test_every_grid_key_sits_at_its_polar_angle():
+    # the keys the sender draws are the angles the densities and the attack average over
+    for d in range(1, 25):
+        ens = linear_ensemble(d)
+        theta = ens.polar_angles()
+        for k in range(d):
+            key = ens.key(k)
+            folded = theta[k] if theta[k] <= np.pi / 2 else np.pi - theta[k]
+            assert key.beta == 2 * folded
+            assert np.max(np.abs(rotation_matrix(key) - real_rotation(theta[k]))) <= 1e-12
+            assert ens.polar_angles(k) == theta[k]
+    for dims in ((5, 9, 3), (8, 1, 8)):
+        ens = poincare_ensemble(*dims)
+        theta = ens.polar_angles()
+        for k1, k2, k3 in np.ndindex(*dims):
+            key = ens.key(k1, k2, k3)
+            assert key.beta == 2 * theta[k2]
+            # alpha and gamma only add phases: strip them and the real rotation remains
+            R = rotation_matrices(0.0, key.beta, 0.0)
+            assert np.max(np.abs(R - real_rotation(theta[k2]))) <= 1e-12
+            assert np.max(np.abs(rotation_matrix(key) - rotation_matrices(key.alpha, 0.0, 0.0)
+                                 @ R @ rotation_matrices(0.0, 0.0, key.gamma))) <= 1e-12
+
+
+def test_grid_key_range_errors():
+    for ens, index in ((linear_ensemble(4), (4,)), (linear_ensemble(4), (1, 1)),
+                       (poincare_ensemble(2, 3, 4), (0, 3, 0)), (poincare_ensemble(2, 3, 4), (0,))):
+        with pytest.raises(KeyRangeError):
+            ens.key(*index)
 
 
 def test_sample_haar_key_deterministic():
     a = sample_haar_key(np.random.default_rng(42), 64, 64, 64)
     b = sample_haar_key(np.random.default_rng(42), 64, 64, 64)
     assert a == b
+
+
+def test_sample_haar_key_pinned():
+    # pinned Euler triples of the 64^3 grid: neither the draw order nor the angles may move
+    pinned = [(5.301437602932776, 1.8440245093355345, 3.141592653589793),
+              (2.945243112740431, 1.5866700092848522, 4.71238898038469),
+              (5.203262832508095, 1.05633785123371, 0.5890486225480862),
+              (5.006913291658733, 0.5711684985655375, 1.0799224746714913),
+              (4.516039439535327, 2.701616698798875, 5.497787143782138)]
+    for seed, triple in enumerate(pinned):
+        key = sample_haar_key(np.random.default_rng(seed), 64, 64, 64)
+        assert (key.alpha, key.beta, key.gamma) == triple
 
 
 def test_measure_in_key_basis_statistics():

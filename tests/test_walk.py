@@ -222,7 +222,7 @@ class TestRunProtocol:
         assert a.collisions == b.collisions
 
     def test_result_carries_protocol_distribution(self):
-        for noise in (None, NoiseModel(0.9, 0.01), NoiseModel(0.5, 0.0)):
+        for noise in (NoiseModel(), NoiseModel(0.9, 0.01), NoiseModel(0.5, 0.0)):
             result = run_protocol(U1, "0100", linear_key(0, 1), 100, make_rng(2), noise=noise)
             assert result.exact_occupations == protocol_distribution(U1, "0100", noise)
 
