@@ -32,8 +32,8 @@ from .reconstruct import (MeasurementNoise, MeasurementSet, compare_to_truth,
 from .security import (encrypted_density, attack_asymptote, attack_success,
                        hidden_bits_linear_asymptotic, holevo, holevo_poincare_limit,
                        simulate_attack, trace_distance, von_neumann_entropy)
-from .walk import (NoiseModel, bhattacharyya_fidelity, occupation_to_bits,
-                   run_protocol, unitary_from_payload, unitary_to_payload)
+from .walk import (NoiseModel, bhattacharyya_fidelity, postselect, run_protocol,
+                   unitary_from_payload, unitary_to_payload)
 
 BUILTIN_DEVICES = ("identity4", "u1", "u2")
 ATTACK_CURVE_D = (2, 3, 4, 6, 12)
@@ -161,8 +161,6 @@ def cmd_walk(args) -> int:
     rng = make_rng(args.seed)
     device = load_device(args.device)
     bits = as_bits(args.input)
-    if len(bits) != device.m:
-        raise ValueError(f"input length {len(bits)} does not match device m = {device.m}")
     key, key_echo = parse_key_spec(args.key, rng)
     noise = NoiseModel(args.visibility, args.higher_order_rate)
 
@@ -170,19 +168,11 @@ def cmd_walk(args) -> int:
                           noise=noise, threads=thread_count())
 
     exact_occ = result.exact_occupations
-    collision_probability = sum(p for occ, p in exact_occ.items() if any(c > 1 for c in occ))
-    # summed directly: 1 - collision_probability cancels when collisions dominate
-    kept = sum(p for occ, p in exact_occ.items() if not any(c > 1 for c in occ))
-    exact_bits = {}
-    if kept > 0.0:
-        exact_bits = {occupation_to_bits(occ): p / kept
-                      for occ, p in exact_occ.items() if not any(c > 1 for c in occ)}
-
     empirical_occ = result.empirical_occupations()
-    empirical_bits = result.empirical_bitstrings()
-    fidelity_occ = bhattacharyya_fidelity(
-        {occupation_label(o): p for o, p in exact_occ.items()},
-        {occupation_label(o): p for o, p in empirical_occ.items()})
+    exact_bits, collision_probability = postselect(exact_occ)
+    empirical_bits, collisions = postselect(result.occupation_counts)
+    # occupation tuples sort like their labels: every count is a single digit
+    fidelity_occ = bhattacharyya_fidelity(exact_occ, empirical_occ)
     fidelity_bits = bhattacharyya_fidelity(exact_bits, empirical_bits)
 
     report = {
@@ -205,8 +195,8 @@ def cmd_walk(args) -> int:
         "empirical": {
             "occupations": {occupation_label(o): float(p) for o, p in sorted(empirical_occ.items())},
             "bitstrings": {b: float(p) for b, p in sorted(empirical_bits.items())},
-            "collisions": int(result.collisions),
-            "collision_fraction": result.collisions / result.shots,
+            "collisions": int(collisions),
+            "collision_fraction": collisions / result.shots,
         },
         "fidelity": {
             "occupations": float(fidelity_occ),
@@ -214,9 +204,8 @@ def cmd_walk(args) -> int:
         },
     }
     if args.csv:
-        emp = {occupation_label(o): p for o, p in empirical_occ.items()}
-        rows = [(label, repr(float(p)), repr(float(emp.get(label, 0.0))))
-                for label, p in sorted((occupation_label(o), p) for o, p in exact_occ.items())]
+        rows = [(occupation_label(o), repr(float(p)), repr(float(empirical_occ.get(o, 0.0))))
+                for o, p in sorted(exact_occ.items())]
         _emit(_csv_text(["outcome", "exact", "empirical"], rows), args.out)
     else:
         _emit(_json_text(report), args.out)
@@ -235,9 +224,10 @@ def cmd_attack(args) -> int:
 
     ds: list[int] = []
     if not args.asymptote_only:
-        ds = [int(p) for p in str(args.d).split(",") if p.strip()]
-        if not ds:
-            raise ValueError("no d values given (use --asymptote-only to skip the curve)")
+        try:
+            ds = list(parse_grid(args.d))
+        except ValueError as exc:
+            raise ValueError(f"d: {exc}") from None
 
     curve = [dict(row, trials=int(args.trials))
              for row in _attack_curve(args.m, ds, plaintext, args.trials, rng)]

@@ -152,16 +152,17 @@ class KeyEnsemble:
     def key(self, *index) -> PolarizationKey:
         """Key at grid point (k,) of linear:d or (k1, k2, k3) of poincare:d1,d2,d3.
 
-        A linear key is exactly the real rotation by theta; past pi/2 it folds
-        over via alpha = gamma = pi so beta stays inside [0, pi].
+        A linear key is exactly the real rotation by theta. Past a quarter turn
+        (2k > d, decided on the index) it folds over via alpha = gamma = pi so
+        beta stays inside [0, pi]; a quarter turn is beta = pi, not 2*theta +- ulp.
         """
         if len(index) != len(self.dims) or not all(0 <= k < d for k, d in zip(index, self.dims)):
             raise KeyRangeError(f"grid point {index} outside ensemble {self.label}")
         if self.kind == "linear":
-            theta = self.polar_angles(index[0])
-            if theta <= np.pi / 2:
-                return PolarizationKey(0.0, 2 * theta, 0.0)
-            return PolarizationKey(np.pi, 2 * (np.pi - theta), np.pi)
+            (k,), (d,) = index, self.dims
+            if 2 * k > d:
+                return PolarizationKey(np.pi, 2 * (np.pi - self.polar_angles(k)), np.pi)
+            return PolarizationKey(0.0, np.pi if 2 * k == d else 2 * self.polar_angles(k), 0.0)
         (k1, k2, k3), (d1, _, d3) = index, self.dims
         return PolarizationKey(2 * np.pi * k1 / d1, 2 * self.polar_angles(k2), 2 * np.pi * k3 / d3)
 

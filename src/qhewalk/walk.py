@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -82,43 +83,36 @@ def occupation_states(m: int, n: int) -> list[tuple[int, ...]]:
     return states
 
 
-def _transition_submatrix(U: np.ndarray, source: tuple[int, ...], target: tuple[int, ...]) -> np.ndarray:
-    cols = np.repeat(np.arange(len(source)), source)
-    rows = np.repeat(np.arange(len(target)), target)
-    return U[np.ix_(rows, cols)]
-
-
-def _occupation_factorial(occ) -> float:
-    out = 1.0
-    for c in occ:
-        out *= math.factorial(c)
-    return out
-
-
 def _distribution(U, input_occupation, interference: bool) -> dict[tuple[int, ...], float]:
     """Transition law P(source -> T) over all n-photon output multisets.
 
     interference=True gives the bosonic law |Per(U_ST)|^2/(s! t!); False gives
     the distinguishable-photon law Per(|U_ST|^2)/t!. Photons sharing a source
     mode are labelled apart in the classical law, so its s! repeated column
-    orderings are distinct histories and are not divided out.
+    orderings are distinct histories and are not divided out. The source
+    columns are selected once; each U_ST is a row selection of them.
     """
     source = as_occupation(input_occupation)
     U = require_unitary(U)
-    if len(source) != U.shape[0]:
-        raise DimensionError(f"occupation length {len(source)} != mode count {U.shape[0]}")
+    m = len(source)
+    if m != U.shape[0]:
+        raise DimensionError(f"occupation length {m} != mode count {U.shape[0]}")
     n = sum(source)
     if n > MAX_WALKERS:
         raise ContractError(f"at most {MAX_WALKERS} photons supported, got {n}")
-    s_fact = _occupation_factorial(source)
+    modes = np.arange(m)
+    columns = U[:, np.repeat(modes, source)]
+    if not interference:
+        columns = np.abs(columns) ** 2
+    s_fact = math.prod(math.factorial(c) for c in source)
     probs = {}
-    for target in occupation_states(len(source), n):
-        sub = _transition_submatrix(U, source, target)
+    for target in occupation_states(m, n):
+        sub = columns[np.repeat(modes, target)]
         if interference:
             p = abs(permanent(sub)) ** 2 / s_fact
         else:
-            p = permanent(np.abs(sub) ** 2).real
-        probs[target] = p / _occupation_factorial(target)
+            p = permanent(sub).real
+        probs[target] = p / math.prod(math.factorial(c) for c in target)
     total = sum(probs.values())
     if abs(total - 1.0) > 1e-9:
         raise ContractError(f"transition law failed to normalize: sum = {total!r}")
@@ -135,29 +129,12 @@ def classical_output_distribution(U, input_occupation) -> dict[tuple[int, ...], 
     return _distribution(U, input_occupation, interference=False)
 
 
-def _visibility_blend(U, source, noise: NoiseModel) -> dict[tuple[int, ...], float]:
-    quantum = output_distribution(U, source)
-    visibility = noise.hom_visibility
-    if visibility >= 1.0:
-        return quantum
-    classical = classical_output_distribution(U, source)
-    return {t: visibility * quantum[t] + (1.0 - visibility) * classical[t] for t in quantum}
-
-
 def _with_spurious(law: dict, noise: NoiseModel) -> dict[tuple[int, ...], float]:
-    """Admix the uniform spurious-shot law that _sample_batch applies shot by shot."""
+    """Admix a uniform law: a spurious shot (probability rate) lands on any outcome alike."""
     rate = noise.higher_order_rate
     if rate <= 0.0:
         return law
     return {t: (1.0 - rate) * p + rate / len(law) for t, p in law.items()}
-
-
-def _device_and_bits(U, plaintext) -> tuple[np.ndarray, tuple[int, ...]]:
-    bits = as_bits(plaintext)
-    M = require_unitary(U)
-    if len(bits) != M.shape[0]:
-        raise DimensionError(f"plaintext length {len(bits)} != mode count {M.shape[0]}")
-    return M, bits
 
 
 def occupation_to_bits(occ: tuple[int, ...]) -> str:
@@ -166,14 +143,40 @@ def occupation_to_bits(occ: tuple[int, ...]) -> str:
 
 
 def protocol_distribution(U, plaintext, noise: NoiseModel = NoiseModel()) -> dict[tuple[int, ...], float]:
-    """Exact law of the walker occupation recorded by run_protocol.
+    """Exact law of the walker occupation; run_protocol draws its shots from it.
 
-    Includes the modeled noise: visibility-blended interference plus the
-    uniform spurious-shot admixture. With no noise this is plain
-    output_distribution of the walker pattern.
+    Includes the modeled noise: the bosonic law blended with the
+    distinguishable one at weight 1 - hom_visibility, then the uniform
+    spurious-shot admixture. With no noise this is plain output_distribution
+    of the walker pattern.
     """
-    M, bits = _device_and_bits(U, plaintext)
-    return _with_spurious(_visibility_blend(M, walker_pattern(bits), noise), noise)
+    bits = as_bits(plaintext)
+    M = require_unitary(U)
+    if len(bits) != M.shape[0]:
+        raise DimensionError(f"plaintext length {len(bits)} != mode count {M.shape[0]}")
+    source = walker_pattern(bits)
+    law = output_distribution(M, source)
+    visibility = noise.hom_visibility
+    if visibility < 1.0:
+        classical = classical_output_distribution(M, source)
+        law = {t: visibility * p + (1.0 - visibility) * classical[t] for t, p in law.items()}
+    return _with_spurious(law, noise)
+
+
+def postselect(law: dict) -> tuple[dict[str, float], float]:
+    """Receiver's view of an occupation law or tally: (bit-string law, collision weight).
+
+    Outcomes in which two walkers share a mode are discarded and the rest are
+    renormalized over logical bit-strings; the bit-string law is empty when
+    nothing is kept. The kept and collision weights are each summed directly:
+    1 - collision cancels when collisions dominate.
+    """
+    kept = {occupation_to_bits(occ): w for occ, w in law.items() if max(occ) <= 1}
+    collision = sum(w for occ, w in law.items() if max(occ) > 1)
+    total = sum(kept.values())
+    if not total:
+        return {}, collision
+    return {b: w / total for b, w in kept.items()}, collision
 
 
 @dataclass
@@ -182,88 +185,58 @@ class ProtocolResult:
 
     shots: int
     occupation_counts: dict[tuple[int, ...], int]
-    collisions: int = 0
-    bitstring_counts: dict[str, int] = field(default_factory=dict)
-    exact_occupations: dict[tuple[int, ...], float] = field(default_factory=dict)
+    exact_occupations: dict[tuple[int, ...], float]
 
     def empirical_occupations(self) -> dict[tuple[int, ...], float]:
-        return {occ: c / self.shots for occ, c in self.occupation_counts.items() if c}
+        return {occ: c / self.shots for occ, c in self.occupation_counts.items()}
 
     def empirical_bitstrings(self) -> dict[str, float]:
         """Post-selected collision-free view, renormalized."""
-        kept = self.shots - self.collisions
-        if kept == 0:
-            return {}
-        return {b: c / kept for b, c in self.bitstring_counts.items() if c}
+        return postselect(self.occupation_counts)[0]
 
 
-def _sample_batch(rng, outcomes, cumulative, shots, noise):
-    """Draw `shots` walker occupations; returns index counts per outcome."""
-    u = rng.random(shots)
-    idx = np.searchsorted(cumulative, u, side="right")
-    if noise.higher_order_rate > 0.0:
-        spurious = rng.random(shots) < noise.higher_order_rate
-        k = int(spurious.sum())
-        if k:
-            idx[spurious] = rng.integers(0, len(outcomes), size=k)
-    return np.bincount(idx, minlength=len(outcomes))
+def _sample_batch(cumulative, rng, shots):
+    """Draw `shots` outcome indices, one uniform each; returns counts per index."""
+    idx = np.searchsorted(cumulative, rng.random(shots), side="right")
+    return np.bincount(idx, minlength=len(cumulative))
 
 
 def run_protocol(U, plaintext, key: PolarizationKey, shots: int, random_source,
                  noise: NoiseModel = NoiseModel(), threads: int = 1) -> ProtocolResult:
-    """Run the encrypted walk end to end and tally decoded outcomes.
+    """Run the encrypted walk end to end and tally the walker occupations.
 
-    Each shot draws a walker output occupation. Dummy photons cross the same
-    device, but decryption discards their outcome, so they are not sampled.
-    Occupations with a doubly-occupied mode go to the collision tally and are
-    excluded from the logical bit-string view. Shots are split over
-    SHOT_BATCHES child random streams so results do not depend on `threads`.
-    The result carries the exact recorded law, equal to protocol_distribution.
+    Each shot draws a walker occupation from protocol_distribution, noise
+    included, which the result carries as exact_occupations. Dummy photons
+    cross the same device, but decryption discards their outcome, so they are
+    not sampled; postselect gives the receiver's bit-string view. Shots are
+    split over SHOT_BATCHES child random streams so results do not depend on
+    `threads`.
     """
-    M, bits = _device_and_bits(U, plaintext)
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
-
+    bits = as_bits(plaintext)
     # encryption/decryption faithfulness: the key basis must recover each bit
     for bit, state in zip(bits, encrypt(bits, key)):
         p0 = projection_probability(state, key)
         if abs(p0 - (1.0 - bit)) > 1e-9:
             raise ContractError("key failed to decrypt its own encryption")
 
-    walker_law = _visibility_blend(M, walker_pattern(bits), noise)
-    outcomes = list(walker_law)
-    cumulative = np.cumsum([walker_law[t] for t in outcomes])
+    law = protocol_distribution(U, bits, noise)
+    cumulative = np.cumsum(list(law.values()))
     cumulative[-1] = 1.0
 
     batches = min(SHOT_BATCHES, shots)
     sizes = [shots // batches + (1 if b < shots % batches else 0) for b in range(batches)]
     streams = random_source.spawn(batches)
-
-    def one_batch(args):
-        rng, size = args
-        return _sample_batch(rng, outcomes, cumulative, size, noise)
-
-    jobs = list(zip(streams, sizes))
+    one_batch = partial(_sample_batch, cumulative)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            batch_counts = list(pool.map(one_batch, jobs))
+            batch_counts = list(pool.map(one_batch, streams, sizes))
     else:
-        batch_counts = [one_batch(j) for j in jobs]
+        batch_counts = list(map(one_batch, streams, sizes))
     totals = np.sum(batch_counts, axis=0)
-
-    result = ProtocolResult(shots=shots, occupation_counts={}, collisions=0,
-                            exact_occupations=_with_spurious(walker_law, noise))
-    for occ, c in zip(outcomes, totals):
-        c = int(c)
-        if c == 0:
-            continue
-        result.occupation_counts[occ] = c
-        if any(v > 1 for v in occ):
-            result.collisions += c
-        else:
-            b = occupation_to_bits(occ)
-            result.bitstring_counts[b] = result.bitstring_counts.get(b, 0) + c
-    return result
+    counts = {occ: int(c) for occ, c in zip(law, totals) if c}
+    return ProtocolResult(shots=shots, occupation_counts=counts, exact_occupations=law)
 
 
 def bhattacharyya_fidelity(p: dict, q: dict) -> float:

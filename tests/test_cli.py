@@ -136,7 +136,9 @@ def test_rejections_name_the_field_or_file(tmp_path):
               # synthesis flags cannot shape data read from a file
               ((*fit, "--counts", "100"), "counts"),
               ((*fit, "--distinguishability", "0.5"), "distinguishability"),
-              ((*fit, "--noise", "none"), "noise")]
+              ((*fit, "--noise", "none"), "noise"),
+              (("attack", "--m", "2", "--d", "2,x"), "d:"),
+              (("attack", "--m", "2", "--d", "2,,3"), "d:")]
     for argv, field in cases:
         proc = run_cli(*argv)
         assert proc.returncode == 2, argv

@@ -150,7 +150,7 @@ def test_every_grid_key_sits_at_its_polar_angle():
         theta = ens.polar_angles()
         for k in range(d):
             key = ens.key(k)
-            folded = theta[k] if theta[k] <= np.pi / 2 else np.pi - theta[k]
+            folded = theta[k] if 2 * k <= d else np.pi - theta[k]
             assert key.beta == 2 * folded
             assert np.max(np.abs(rotation_matrix(key) - real_rotation(theta[k]))) <= 1e-12
             assert ens.polar_angles(k) == theta[k]
@@ -165,6 +165,22 @@ def test_every_grid_key_sits_at_its_polar_angle():
             assert np.max(np.abs(R - real_rotation(theta[k2]))) <= 1e-12
             assert np.max(np.abs(rotation_matrix(key) - rotation_matrices(key.alpha, 0.0, 0.0)
                                  @ R @ rotation_matrices(0.0, 0.0, key.gamma))) <= 1e-12
+
+
+def test_linear_keys_fold_on_the_index():
+    # 2*theta misses pi by an ulp at some quarter turns (d = 50, 150, ...); the
+    # fold is decided on k, so every quarter turn echoes the same triple
+    for d in range(1, 200):
+        ens = linear_ensemble(d)
+        for k in range(d):
+            key = ens.key(k)
+            if 2 * k == d:
+                assert (key.alpha, key.beta, key.gamma) == (0.0, np.pi, 0.0), (k, d)
+            else:
+                assert key.alpha == key.gamma == (0.0 if 2 * k < d else np.pi), (k, d)
+            assert 0.0 <= key.beta <= np.pi
+            R = rotation_matrix(key)
+            assert np.max(np.abs(R - real_rotation(ens.polar_angles(k)))) <= 1e-12, (k, d)
 
 
 def test_grid_key_range_errors():

@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import chi2
 
-from qhewalk.numerics import ContractError, DimensionError, unitarize
+from qhewalk.numerics import ContractError, DimensionError, permanent, unitarize
 from qhewalk.polarization import linear_key, sample_haar_key
 from qhewalk.walk import (MAX_SHOTS, DeviceFormatError, EncodingError, NoiseModel,
                           bhattacharyya_fidelity, classical_output_distribution,
                           encode_input, occupation_states,
-                          occupation_to_bits, output_distribution,
+                          occupation_to_bits, output_distribution, postselect,
                           protocol_distribution, run_protocol, unitary_from_payload,
                           unitary_to_payload, walker_pattern)
 from oracles import (distinguishable_distribution, haar_unitary, polynomial_distribution,
@@ -131,6 +134,34 @@ class TestOutputDistribution:
             output_distribution(U1, (1, 0, 0))
 
 
+def per_target_law(U, source, interference):
+    """One np.ix_ submatrix of U and one factorial product per output state."""
+    m = len(source)
+    cols = np.repeat(np.arange(m), source)
+    s_fact = math.prod(math.factorial(c) for c in source)
+    probs = {}
+    for target in occupation_states(m, sum(source)):
+        sub = U[np.ix_(np.repeat(np.arange(m), target), cols)]
+        if interference:
+            p = abs(permanent(sub)) ** 2 / s_fact
+        else:
+            p = permanent(np.abs(sub) ** 2).real
+        probs[target] = p / math.prod(math.factorial(c) for c in target)
+    total = sum(probs.values())
+    return {t: p / total for t, p in probs.items()}
+
+
+def test_column_selection_matches_per_target_route_bitwise():
+    rng = np.random.default_rng(88)
+    sources = [(1, 0), (1, 1), (2, 0), (0, 1, 2), (1, 1, 1), (3, 0, 0),
+               (1, 0, 2, 1), (0, 4, 0, 0), (1, 1, 1, 1, 1, 0), (2, 2, 0, 1, 0, 1),
+               (0, 0, 0, 6, 0, 0, 0), (1, 0, 1, 1, 0, 1, 1, 1), (2, 0, 0, 1, 0, 3, 0, 0)]
+    for source in sources:
+        U = haar_unitary(len(source), rng)
+        assert output_distribution(U, source) == per_target_law(U, source, True), source
+        assert classical_output_distribution(U, source) == per_target_law(U, source, False), source
+
+
 class TestClassicalAndNoise:
     def test_identity_classical_equals_quantum(self):
         q = output_distribution(np.eye(3), (1, 1, 0))
@@ -186,8 +217,8 @@ def make_rng(seed=0):
 class TestRunProtocol:
     def test_identity_returns_plaintext(self):
         result = run_protocol(np.eye(4), "1010", linear_key(0, 1), 50, make_rng())
-        assert result.bitstring_counts == {"1010": 50}
-        assert result.collisions == 0
+        assert result.occupation_counts == {(0, 1, 0, 1): 50}
+        assert postselect(result.occupation_counts) == ({"1010": 1.0}, 0)
 
     def test_key_independence_of_exact_law(self):
         rng = np.random.default_rng(17)
@@ -210,16 +241,21 @@ class TestRunProtocol:
 
     def test_three_walker_collisions_are_tallied(self):
         result = run_protocol(U1, "1000", linear_key(0, 1), 20000, make_rng(3))
-        assert result.collisions > 0
-        kept = sum(result.bitstring_counts.values())
-        assert kept + result.collisions == result.shots
-        assert all(set(b) <= {"0", "1"} and len(b) == 4 for b in result.bitstring_counts)
+        bitstrings, collisions = postselect(result.occupation_counts)
+        assert collisions > 0
+        kept = result.shots - collisions
+        assert sum(bitstrings.values()) == pytest.approx(1.0, abs=1e-12)
+        # every kept shot is one collision-free occupation, tallied under its bit-string
+        assert {b: round(p * kept) for b, p in bitstrings.items()} == {
+            occupation_to_bits(occ): c for occ, c in result.occupation_counts.items()
+            if max(occ) <= 1}
+        assert all(set(b) <= {"0", "1"} and len(b) == 4 for b in bitstrings)
 
     def test_shot_split_is_thread_invariant(self):
         a = run_protocol(U1, "0011", linear_key(1, 4), 4999, make_rng(11), threads=1)
         b = run_protocol(U1, "0011", linear_key(1, 4), 4999, make_rng(11), threads=4)
         assert a.occupation_counts == b.occupation_counts
-        assert a.collisions == b.collisions
+        assert postselect(a.occupation_counts) == postselect(b.occupation_counts)
 
     def test_result_carries_protocol_distribution(self):
         for noise in (NoiseModel(), NoiseModel(0.9, 0.01), NoiseModel(0.5, 0.0)):
@@ -227,16 +263,26 @@ class TestRunProtocol:
             assert result.exact_occupations == protocol_distribution(U1, "0100", noise)
 
     def test_pinned_counts_with_noise(self):
-        # counts recorded when each shot also drew a (discarded) dummy sample:
-        # every batch stream draws its walker samples first, so dropping the
-        # dummy draw leaves the recorded counts unchanged
+        # recorded with one uniform per shot drawn against protocol_distribution,
+        # so spurious shots come from the printed law
         result = run_protocol(U1, "0101", linear_key(0, 1), 3000, make_rng(5),
                               noise=NoiseModel(0.9, 0.01))
         assert result.occupation_counts == {
-            (0, 0, 0, 2): 51, (0, 0, 1, 1): 250, (0, 0, 2, 0): 569, (0, 1, 0, 1): 100,
-            (0, 1, 1, 0): 233, (0, 2, 0, 0): 54, (1, 0, 0, 1): 239, (1, 0, 1, 0): 829,
-            (1, 1, 0, 0): 150, (2, 0, 0, 0): 525}
-        assert result.collisions == 1199
+            (0, 0, 0, 2): 50, (0, 0, 1, 1): 251, (0, 0, 2, 0): 574, (0, 1, 0, 1): 100,
+            (0, 1, 1, 0): 234, (0, 2, 0, 0): 54, (1, 0, 0, 1): 236, (1, 0, 1, 0): 829,
+            (1, 1, 0, 0): 146, (2, 0, 0, 0): 526}
+        assert postselect(result.occupation_counts)[1] == 1204
+
+    def test_noisy_shots_follow_protocol_distribution(self):
+        # Pearson chi-square of 10^6 shots against the printed law; a correct
+        # sampler falls below the threshold with probability 1e-6
+        noise = NoiseModel(hom_visibility=0.5, higher_order_rate=0.2)
+        result = run_protocol(U1, "1000", linear_key(0, 1), 10 ** 6, make_rng(41), noise=noise)
+        law = protocol_distribution(U1, "1000", noise)
+        expected = np.array([p * result.shots for p in law.values()])
+        observed = np.array([result.occupation_counts.get(t, 0) for t in law])
+        statistic = float(np.sum((observed - expected) ** 2 / expected))
+        assert chi2.sf(statistic, df=len(law) - 1) >= 1e-6
 
     def test_same_seed_same_counts(self):
         a = run_protocol(U1, "0101", linear_key(0, 1), 3000, make_rng(5))
@@ -251,6 +297,24 @@ class TestRunProtocol:
         for shots in (0, MAX_SHOTS + 1):
             with pytest.raises(ValueError, match="shots"):
                 run_protocol(U1, "0111", linear_key(0, 1), shots, make_rng())
+
+
+class TestPostselect:
+    def test_law_and_tally_alike(self):
+        law = {(2, 0): 0.25, (1, 1): 0.5, (0, 2): 0.25}
+        assert postselect(law) == ({"00": 1.0}, 0.5)
+        tally = {(2, 0): 3, (1, 1): 4, (0, 2): 1}
+        assert postselect(tally) == ({"00": 1.0}, 4)
+
+    def test_keeps_zero_weight_outcomes_and_renormalizes(self):
+        law = {(1, 0, 1): 0.0, (0, 1, 1): 0.2, (1, 1, 0): 0.6, (0, 0, 2): 0.2}
+        bitstrings, collision = postselect(law)
+        assert bitstrings == pytest.approx({"010": 0.0, "100": 0.25, "001": 0.75}, abs=1e-15)
+        assert collision == 0.2
+
+    def test_nothing_kept(self):
+        assert postselect({(2, 0): 5, (0, 2): 5}) == ({}, 10)
+        assert postselect({(1, 1): 0.0, (2, 0): 1.0}) == ({}, 1.0)
 
 
 class TestBhattacharyya:
