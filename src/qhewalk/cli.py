@@ -18,6 +18,7 @@ import io
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .numerics import unitarize
-from .polarization import PolarizationKey, as_bits, parse_ensemble, parse_grid
+from .polarization import PolarizationKey, as_bits, linear_ensemble, parse_ensemble, parse_grid
 from .reconstruct import (MeasurementNoise, MeasurementSet, compare_to_truth,
                           reconstruct_unitary, synthesize_measurements)
 from .security import (encrypted_density, attack_asymptote, attack_success,
@@ -69,6 +70,15 @@ class Device:
     unitary: np.ndarray
     projection_distance: float
     source: str
+
+
+@contextmanager
+def in_field(name: str):
+    """Re-raise a ValueError raised inside the block as '<name>: <message>'."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def read_json(path):
@@ -116,7 +126,7 @@ def parse_key_spec(spec: str, random_source) -> tuple[PolarizationKey, dict]:
     """Key specs: linear:K/D (point K of linear:D) | euler:ALPHA,BETA,GAMMA | haar[:D1,D2,D3]."""
     kind, sep, rest = spec.partition(":")
     k, slash, d = rest.partition("/")
-    try:
+    with in_field(f"key {spec!r}"):
         if kind == "linear" and slash:
             key = parse_ensemble(f"linear:{d}").key(*parse_grid(k))
         elif kind == "euler" and len(rest.split(",")) == 3:
@@ -125,8 +135,6 @@ def parse_key_spec(spec: str, random_source) -> tuple[PolarizationKey, dict]:
             key = parse_ensemble(f"poincare:{rest if sep else '64,64,64'}").sample(random_source)
         else:
             raise ValueError("expected linear:K/D, euler:A,B,G or haar[:D1,D2,D3]")
-    except ValueError as exc:
-        raise ValueError(f"key {spec!r}: {exc}") from None
     echo = {"spec": spec, "alpha": float(key.alpha), "beta": float(key.beta),
             "gamma": float(key.gamma)}
     return key, echo
@@ -160,7 +168,10 @@ def _csv_text(header, rows) -> str:
 def cmd_walk(args) -> int:
     rng = make_rng(args.seed)
     device = load_device(args.device)
-    bits = as_bits(args.input)
+    with in_field("input"):
+        bits = as_bits(args.input)
+        if len(bits) != device.m:
+            raise ValueError(f"plaintext length {len(bits)} != mode count {device.m}")
     key, key_echo = parse_key_spec(args.key, rng)
     noise = NoiseModel(args.visibility, args.higher_order_rate)
 
@@ -224,10 +235,9 @@ def cmd_attack(args) -> int:
 
     ds: list[int] = []
     if not args.asymptote_only:
-        try:
-            ds = list(parse_grid(args.d))
-        except ValueError as exc:
-            raise ValueError(f"d: {exc}") from None
+        with in_field("d"):
+            # every key set is checked before the first trial is drawn
+            ds = [linear_ensemble(d).polar_size for d in parse_grid(args.d)]
 
     curve = [dict(row, trials=int(args.trials))
              for row in _attack_curve(args.m, ds, plaintext, args.trials, rng)]
@@ -310,7 +320,7 @@ def cmd_security(args) -> int:
         },
     }
     if args.explicit:
-        report["holevo_explicit_bits"] = float(holevo(m, ensemble, explicit=True))
+        report["holevo_explicit_bits"] = float(holevo(m, ensemble))
 
     report["attack_curve"] = _attack_curve(m, ATTACK_CURVE_D, "0" * m, args.attack_trials, rng)
 
@@ -442,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     security.add_argument("--ensemble", default="linear:180",
                           help="linear:<d> or poincare:<d1>,<d2>,<d3> (default linear:180)")
     security.add_argument("--explicit", action="store_true",
-                          help="cross-check Holevo from all 2^m plaintext densities")
+                          help="also report the Holevo quantity by definition (all 2^m densities)")
     security.add_argument("--attack-trials", type=int, default=100000)
     security.add_argument("--seed", type=int, default=0)
     security.add_argument("--out")

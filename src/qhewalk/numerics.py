@@ -39,7 +39,7 @@ class HermitianEigen(NamedTuple):
 
 
 def _as_square(matrix, name: str) -> np.ndarray:
-    M = np.asarray(matrix, dtype=complex)
+    M = np.asarray(matrix, dtype=complex if np.iscomplexobj(matrix) else float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionError(f"{name} must be a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
@@ -60,7 +60,7 @@ def finite_number(value, field: str, error: type[ValueError]) -> float:
 
 
 def require_unitary(U, tol: float = 1e-8) -> np.ndarray:
-    """U as a complex array, after checking it is square, finite and unitary to tol."""
+    """U in its own real or complex dtype, after checking it is square, finite and unitary to tol."""
     M = _as_square(U, "matrix")
     defect = float(np.max(np.abs(M.conj().T @ M - np.eye(M.shape[0]))))
     if defect > tol:
@@ -135,20 +135,13 @@ def hermitian_eig(H, tol: float = 1e-10) -> HermitianEigen:
 def unitarize(M) -> np.ndarray:
     """Closest unitary to M in Frobenius norm (the unitary polar factor).
 
-    Computed as M (M^dagger M)^(-1/2) through the one Hermitian eigensolver
-    used everywhere else. Singular input is rejected.
+    With M = W diag(s) V^dagger, the factor is W V^dagger. Singular input
+    (s_min^2 <= 1e-13 s_max^2) is rejected.
     """
     A = _as_square(M, "M")
-    n = A.shape[0]
-    if n == 0:
+    if A.shape[0] == 0:
         return A.copy()
-    U = A
-    for _ in range(3):
-        w, V = hermitian_eig(U.conj().T @ U, tol=np.inf)
-        if w[-1] <= 0 or w[0] <= 1e-13 * w[-1]:
-            raise SingularMatrixError("matrix is singular or numerically rank-deficient")
-        U = U @ (V * (w ** -0.5)) @ V.conj().T
-        defect = float(np.max(np.abs(U.conj().T @ U - np.eye(n))))
-        if defect <= 1e-13:
-            break
-    return U
+    W, s, Vh = np.linalg.svd(A)
+    if s[-1] ** 2 <= 1e-13 * s[0] ** 2:
+        raise SingularMatrixError("matrix is singular or numerically rank-deficient")
+    return W @ Vh

@@ -45,7 +45,8 @@ def encrypted_density(x, ensemble: KeyEnsemble) -> np.ndarray:
 
     rho_x = (1/N) sum_k (x) R_k |P_x> <P_x| R_k^t, a 2^m x 2^m Hermitian
     unit-trace matrix, evaluated as a real average over the polar angle only
-    (see the module docstring): rho_x = mask (.) (1/K) sum_k psi_k psi_k^T.
+    (see the module docstring): rho_x = mask (.) (1/K) sum_k psi_k psi_k^T,
+    returned as a real symmetric float64 array.
     """
     bits = as_bits(x)
     m = len(bits)
@@ -60,7 +61,7 @@ def encrypted_density(x, ensemble: KeyEnsemble) -> np.ndarray:
     rho = psi.T @ psi / theta.size
     if ensemble.kind == "poincare":
         rho *= _popcount_mask(m, ensemble.dims[0])
-    return (0.5 * (rho + rho.T)).astype(complex)
+    return rho
 
 
 def von_neumann_entropy(rho: np.ndarray, tol: float = 1e-10) -> float:
@@ -77,23 +78,21 @@ def von_neumann_entropy(rho: np.ndarray, tol: float = 1e-10) -> float:
     return float(-(lam * np.log2(lam)).sum())
 
 
-def holevo(m: int, ensemble: KeyEnsemble, explicit: bool = False) -> float:
+def holevo(m: int, ensemble: KeyEnsemble) -> float:
     """Holevo quantity of the uniform plaintext source under the key ensemble.
 
-    Fast path uses chi = m - S(rho_0): the key-averaged mixture over all
-    plaintexts is maximally mixed, and every rho_x has the entropy of rho_0
-    for key sets closed under the plaintext flip. explicit=True evaluates
-    S(mean_x rho_x) - mean_x S(rho_x) from all 2^m density matrices instead;
-    for linear ensembles the two agree to roundoff.
+    The definition, S(mean_x rho_x) - mean_x S(rho_x), from all 2^m density
+    matrices. For key sets closed under the plaintext flip it equals
+    m - S(rho_0), the security report's holevo_bits: the mixture over all
+    plaintexts is maximally mixed and every rho_x has the entropy of rho_0.
+    Full-sphere grids are not closed under the flip, and the two differ.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > MAX_QUBITS:
         raise ResourceError(f"m <= {MAX_QUBITS} supported")
-    if not explicit:
-        return m - von_neumann_entropy(encrypted_density("0" * m, ensemble))
     dim = 2 ** m
-    mean = np.zeros((dim, dim), dtype=complex)
+    mean = np.zeros((dim, dim))
     entropies = []
     for idx in range(dim):
         x = format(idx, f"0{m}b")
@@ -166,8 +165,8 @@ def simulate_attack(m: int, d: int, plaintext, trials: int, random_source) -> fl
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """T(rho, sigma) = 1/2 sum |eigenvalues(rho - sigma)|."""
-    a = np.asarray(rho, dtype=complex)
-    b = np.asarray(sigma, dtype=complex)
+    a = np.asarray(rho)
+    b = np.asarray(sigma)
     if a.shape != b.shape:
         raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
     eig = hermitian_eig(a - b)

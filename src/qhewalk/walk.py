@@ -228,12 +228,8 @@ def run_protocol(U, plaintext, key: PolarizationKey, shots: int, random_source,
     batches = min(SHOT_BATCHES, shots)
     sizes = [shots // batches + (1 if b < shots % batches else 0) for b in range(batches)]
     streams = random_source.spawn(batches)
-    one_batch = partial(_sample_batch, cumulative)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            batch_counts = list(pool.map(one_batch, streams, sizes))
-    else:
-        batch_counts = list(map(one_batch, streams, sizes))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        batch_counts = list(pool.map(partial(_sample_batch, cumulative), streams, sizes))
     totals = np.sum(batch_counts, axis=0)
     counts = {occ: int(c) for occ, c in zip(law, totals) if c}
     return ProtocolResult(shots=shots, occupation_counts=counts, exact_occupations=law)

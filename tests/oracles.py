@@ -101,6 +101,24 @@ def permanent_by_definition(A: np.ndarray) -> complex:
     return total
 
 
+def polar_factor_by_eigh(M: np.ndarray) -> np.ndarray:
+    """Unitary polar factor M (M^dagger M)^(-1/2), refined by up to three eigh passes.
+
+    Raises ValueError where M^dagger M has eigenvalues w_min <= 1e-13 w_max.
+    """
+    U = np.asarray(M, dtype=complex)
+    n = U.shape[0]
+    for _ in range(3):
+        H = U.conj().T @ U
+        w, V = np.linalg.eigh((H + H.conj().T) / 2.0)
+        if w[-1] <= 0 or w[0] <= 1e-13 * w[-1]:
+            raise ValueError("matrix is singular or numerically rank-deficient")
+        U = U @ (V * (w ** -0.5)) @ V.conj().T
+        if np.max(np.abs(U.conj().T @ U - np.eye(n))) <= 1e-13:
+            break
+    return U
+
+
 def total_variation(p: dict, q: dict) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)

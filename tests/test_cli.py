@@ -138,7 +138,12 @@ def test_rejections_name_the_field_or_file(tmp_path):
               ((*fit, "--distinguishability", "0.5"), "distinguishability"),
               ((*fit, "--noise", "none"), "noise"),
               (("attack", "--m", "2", "--d", "2,x"), "d:"),
-              (("attack", "--m", "2", "--d", "2,,3"), "d:")]
+              (("attack", "--m", "2", "--d", "2,,3"), "d:"),
+              (("attack", "--m", "2", "--d", "0"), "d:"),
+              (("attack", "--m", "2", "--d", "70000"), "d:"),
+              (("attack", "--m", "2", "--d", "2,0"), "d:"),
+              (("walk", "--device", "u1", "--input", "011"), "input:"),
+              (("walk", "--device", "u1", "--input", "01a1"), "input:")]
     for argv, field in cases:
         proc = run_cli(*argv)
         assert proc.returncode == 2, argv

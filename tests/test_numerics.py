@@ -1,3 +1,6 @@
+import json
+from importlib import resources
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from qhewalk.numerics import (ContractError, DimensionError, SingularMatrixError,
                               hermitian_eig, permanent, permanent_naive, unitarize)
-from oracles import permanent_by_definition
+from qhewalk.walk import unitary_from_payload
+from oracles import haar_unitary, permanent_by_definition, polar_factor_by_eigh
 
 U1_PRINTED = np.array([
     [0.74, 0.38, 0.39, 0.40],
@@ -169,3 +173,32 @@ class TestUnitarize:
         M[0, 0] = 1.0
         with pytest.raises(SingularMatrixError):
             unitarize(M)
+
+    def test_svd_matches_iterative_eigh_route(self):
+        printed = [unitary_from_payload(json.loads(
+            resources.files("qhewalk").joinpath(f"devices/{name}.json").read_text()))
+            for name in ("u1", "u2")]
+        rng = np.random.default_rng(12)
+        gaussians = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                     for n in (4, 8) for _ in range(20)]
+        for M in printed + gaussians:
+            assert np.max(np.abs(unitarize(M) - polar_factor_by_eigh(M))) <= 1e-13
+
+    def test_singular_inputs_match_iterative_eigh_route(self):
+        rng = np.random.default_rng(13)
+        G = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        dependent = G.copy()
+        dependent[:, 3] = dependent[:, 0] - 2j * dependent[:, 1]
+        singular = [np.zeros((2, 2)), np.outer(G[0], G[1]), dependent,
+                    np.diag([1.0, 1.0, 1e-7])]  # s_min^2 = 1e-14 of s_max^2
+        for M in singular:
+            with pytest.raises(SingularMatrixError):
+                unitarize(M)
+            with pytest.raises(ValueError):
+                polar_factor_by_eigh(M)
+        # s_min^2 = 1e-12 of s_max^2 is kept by both; the polar factor of D Q is Q.
+        # The eigh route squares the condition number, so it is the looser of the two.
+        Q = haar_unitary(3, rng)
+        M = np.diag([1.0, 1.0, 1e-6]) @ Q
+        assert np.max(np.abs(unitarize(M) - Q)) <= 1e-13
+        assert np.max(np.abs(polar_factor_by_eigh(M) - Q)) <= 1e-9

@@ -22,6 +22,11 @@ def make_rng(seed=0):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
+def holevo_bits(m, ensemble):
+    """m - S(rho_0): the security report's holevo_bits, the Holevo quantity for flip-closed key sets."""
+    return m - von_neumann_entropy(encrypted_density("0" * m, ensemble))
+
+
 class TestEnsembles:
     def test_parse_and_label(self):
         assert parse_ensemble("linear:180") == LINEAR_180
@@ -108,25 +113,25 @@ class TestEncryptedDensity:
 
 class TestHolevo:
     def test_no_encryption_leaks_everything(self):
-        assert holevo(4, linear_ensemble(1)) == pytest.approx(4.0, abs=1e-12)
+        assert holevo_bits(4, linear_ensemble(1)) == pytest.approx(4.0, abs=1e-12)
 
     def test_reference_value_large_linear_grid(self):
-        assert holevo(4, linear_ensemble(256)) == pytest.approx(1.9694, abs=5e-3)
+        assert holevo_bits(4, linear_ensemble(256)) == pytest.approx(1.9694, abs=5e-3)
 
     def test_value_is_grid_independent_beyond_m(self):
         # trig-polynomial cutoff: the key average is exact once d > 2m
-        a = holevo(4, linear_ensemble(180))
-        b = holevo(4, linear_ensemble(360))
+        a = holevo_bits(4, linear_ensemble(180))
+        b = holevo_bits(4, linear_ensemble(360))
         assert abs(a - b) <= 1e-12
 
     def test_poincare_limit(self):
-        chi = holevo(4, POINCARE_64)
+        chi = holevo_bits(4, POINCARE_64)
         assert chi == pytest.approx(4 - math.log2(5), abs=2e-2)
 
     def test_explicit_mode_agrees_for_linear(self):
         for m, d in ((2, 8), (3, 12)):
-            fast = holevo(m, linear_ensemble(d))
-            slow = holevo(m, linear_ensemble(d), explicit=True)
+            fast = holevo_bits(m, linear_ensemble(d))
+            slow = holevo(m, linear_ensemble(d))
             assert fast == pytest.approx(slow, abs=1e-8)
 
     def test_explicit_mode_diverges_on_the_sphere(self):
@@ -134,8 +139,8 @@ class TestHolevo:
         # S(rho_x) genuinely varies with x; the shortcut and the explicit
         # definition then measure different things (ledgered design choice)
         ens = poincare_ensemble(16, 16, 16)
-        fast = holevo(2, ens)
-        slow = holevo(2, ens, explicit=True)
+        fast = holevo_bits(2, ens)
+        slow = holevo(2, ens)
         assert abs(fast - slow) > 0.05
 
     def test_entropy_varies_across_plaintexts_on_the_sphere(self):
@@ -258,7 +263,7 @@ class TestAttack:
 
     def test_holevo_dominates_implied_information(self):
         for d in (2, 3, 4, 6, 12):
-            chi = holevo(4, linear_ensemble(d))
+            chi = holevo_bits(4, linear_ensemble(d))
             info = implied_mutual_information(attack_success(4, d), 4)
             assert info < chi
 
@@ -292,6 +297,24 @@ class TestTraceDistance:
         assert t1 == pytest.approx(0.8080127018922195, abs=1e-9)
         assert t2 == pytest.approx(0.853553390593274, abs=1e-9)
         assert abs(t1 - t3) <= 1e-12
+
+    def test_real_densities_match_the_complex_cast_route(self):
+        # a density is a real average over the polar angle; casting it to a
+        # symmetrized complex matrix must not move its entropy or distances
+        def complex_cast(rho):
+            return (0.5 * (rho + rho.T)).astype(complex)
+
+        for label in ("linear:12", "linear:180", "poincare:64,64,64"):
+            ens = parse_ensemble(label)
+            for m in (2, 4, 6, 8):
+                rho0 = encrypted_density("0" * m, ens)
+                assert rho0.dtype == np.float64
+                s_cast = von_neumann_entropy(complex_cast(rho0))
+                assert abs(von_neumann_entropy(rho0) - s_cast) <= 1e-13, (label, m)
+                for w in range(1, min(3, m) + 1):
+                    rho = encrypted_density("0" * (m - w) + "1" * w, ens)
+                    t_cast = trace_distance(complex_cast(rho0), complex_cast(rho))
+                    assert abs(trace_distance(rho0, rho) - t_cast) <= 1e-13, (label, m, w)
 
     def test_poincare_ensemble_hamming_values(self):
         rho0 = encrypted_density("0000", POINCARE_64)
