@@ -19,7 +19,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 from importlib import resources
 from pathlib import Path
@@ -173,7 +173,9 @@ def cmd_walk(args) -> int:
         if len(bits) != device.m:
             raise ValueError(f"plaintext length {len(bits)} != mode count {device.m}")
     key, key_echo = parse_key_spec(args.key, rng)
-    noise = NoiseModel(args.visibility, args.higher_order_rate)
+    with in_field("visibility"):
+        noise = NoiseModel(args.visibility)
+    noise = replace(noise, higher_order_rate=args.higher_order_rate)
 
     result = run_protocol(device.unitary, bits, key, args.shots, rng,
                           noise=noise, threads=thread_count())
@@ -300,6 +302,8 @@ def cmd_security(args) -> int:
     def entropy(label):
         return von_neumann_entropy(rho0(label))
 
+    with in_field("m"):
+        rho0(ensemble.label)  # the first 2^m density: too large an m stops here
     report = {
         "command": "security",
         "config": {
@@ -322,7 +326,8 @@ def cmd_security(args) -> int:
     if args.explicit:
         report["holevo_explicit_bits"] = float(holevo(m, ensemble))
 
-    report["attack_curve"] = _attack_curve(m, ATTACK_CURVE_D, "0" * m, args.attack_trials, rng)
+    with in_field("attack_trials"):
+        report["attack_curve"] = _attack_curve(m, ATTACK_CURVE_D, "0" * m, args.attack_trials, rng)
 
     distances = _hamming_trace_distances(m, ensemble, rho0(ensemble.label))
     report["trace_distances"] = distances

@@ -241,6 +241,51 @@ def canonical_form(U) -> np.ndarray:
     return M
 
 
+def _levenberg_marquardt(fun, x0):
+    """Minimize 0.5 ||fun(x)||^2 from x0; returns (x, cost).
+
+    Levenberg-Marquardt after MINPACK's lmdif (More 1978): a forward-difference
+    Jacobian with step sqrt(eps)|x_j| (sqrt(eps) where x_j = 0), damping scaled
+    by D = diag(J^T J), and lmdif's stopping rules with xtol = ftol = gtol =
+    1e-15. At most 100 n (n + 1) evaluations of fun, Jacobian columns included.
+    """
+    tol = 1e-15
+    x = np.array(x0, dtype=float)
+    f = fun(x)
+    n = x.size
+    nfev, max_nfev = 1, 100 * n * (n + 1)
+    root_eps = math.sqrt(np.finfo(float).eps)
+    lam = 1e-3
+    converged = False
+    while not converged and f.any() and nfev + n < max_nfev:
+        h = root_eps * np.where(x == 0.0, 1.0, np.abs(x))
+        J = np.column_stack([(fun(x + hj * e) - f) / hj for hj, e in zip(h, np.eye(n))])
+        nfev += n
+        g, A, f2 = J.T @ f, J.T @ J, f @ f
+        d = np.diag(A).copy()
+        live = d > 0.0
+        # gtol: the largest cosine between f and a column of J
+        if np.max(np.abs(g[live]) / np.sqrt(d[live] * f2), initial=0.0) <= tol:
+            break
+        d[~live] = 1.0
+        while nfev < max_nfev:
+            p = np.linalg.solve(A + lam * np.diag(d), -g)
+            f_new = fun(x + p)
+            nfev += 1
+            # actual and predicted relative reductions of ||f||^2 (ftol), step size (xtol)
+            actred = 1.0 - (f_new @ f_new) / f2
+            prered = (p @ A @ p + 2.0 * lam * (d * p) @ p) / f2
+            converged = (abs(actred) <= tol and prered <= tol and actred <= 2.0 * prered
+                         or np.linalg.norm(np.sqrt(d) * p) <= tol * np.linalg.norm(np.sqrt(d) * x))
+            if actred > 0.0:
+                x, f, lam = x + p, f_new, 0.1 * lam
+                break
+            lam *= 10.0
+            if converged:
+                break
+    return x, 0.5 * float(f @ f)
+
+
 def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
                         residual_threshold: float = 0.05) -> ReconstructionReport:
     """Recover the device unitary behind a MeasurementSet.
@@ -261,9 +306,6 @@ def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
         raise ValueError("restarts must be >= 1")
     if not 0.0 <= residual_threshold < math.inf:
         raise ValueError(f"residual_threshold must be finite and >= 0, got {residual_threshold}")
-    # imported here: scipy.optimize is most of the package's import time
-    from scipy.optimize import least_squares
-
     anchored = {((0, i), (0, j)) for i in range(1, m) for j in range(1, m)}
     missing = anchored - set(meas.visibilities)
     if missing:
@@ -298,7 +340,7 @@ def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
                 est[j2 - 1, i2 - 1] = np.arccos(np.clip(c, -1.0, 1.0))
 
     rng = np.random.default_rng(seed)
-    best = None
+    best_x = best_cost = None
     used = 0
     for k in range(restarts):
         used = k + 1
@@ -307,13 +349,13 @@ def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
         else:
             signs = rng.choice([-1.0, 1.0], size=nfree)
             x0 = est.ravel() * signs + rng.normal(0.0, 0.05, nfree)
-        sol = least_squares(residuals, x0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        if best is None or sol.cost < best.cost:
-            best = sol
-        if best.cost < 1e-18:
+        x, cost = _levenberg_marquardt(residuals, x0)
+        if best_x is None or cost < best_cost:
+            best_x, best_cost = x, cost
+        if best_cost < 1e-18:
             break
 
-    recovered = unitarize(_with_phases(A, best.x))
+    recovered = unitarize(_with_phases(A, best_x))
 
     final = _visibilities(*_coincidences(recovered, idx)) - vmeas
     residual = float(np.sqrt(np.mean(final ** 2)))

@@ -119,6 +119,13 @@ def polar_factor_by_eigh(M: np.ndarray) -> np.ndarray:
     return U
 
 
+def lm_by_scipy(fun, x0):
+    """(x, cost) of scipy's MINPACK Levenberg-Marquardt, xtol = ftol = gtol = 1e-15."""
+    from scipy.optimize import least_squares
+    sol = least_squares(fun, x0, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    return sol.x, sol.cost
+
+
 def total_variation(p: dict, q: dict) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)

@@ -143,7 +143,10 @@ def test_rejections_name_the_field_or_file(tmp_path):
               (("attack", "--m", "2", "--d", "70000"), "d:"),
               (("attack", "--m", "2", "--d", "2,0"), "d:"),
               (("walk", "--device", "u1", "--input", "011"), "input:"),
-              (("walk", "--device", "u1", "--input", "01a1"), "input:")]
+              (("walk", "--device", "u1", "--input", "01a1"), "input:"),
+              (("walk", "--device", "u1", "--input", "0110", "--visibility", "2"), "visibility:"),
+              (("security", "--m", "9"), "m:"),
+              (("security", "--m", "2", "--attack-trials", "0"), "attack_trials:")]
     for argv, field in cases:
         proc = run_cli(*argv)
         assert proc.returncode == 2, argv
@@ -355,6 +358,29 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+def test_reconstruct_runs_without_scipy(blocked):
+    # with blocked, a finder that refuses scipy stands in for an install without it
+    code = f"""
+import contextlib, io, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(name + " is blocked")
+
+if {blocked}:
+    sys.meta_path.insert(0, NoScipy())
+from qhewalk.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(["reconstruct", "--device", "u1", "--counts", "1000000", "--seed", "3"])
+print(rc, "scipy" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
 
 
 def test_main_callable_in_process(capsys):

@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from qhewalk import reconstruct
+from qhewalk.cli import load_device
 from qhewalk.numerics import ContractError, unitarize
 from qhewalk.reconstruct import (GaugeFixedUnitary, MeasurementFormatError,
                                  MeasurementNoise, MeasurementSet, all_pairs,
                                  canonical_form, compare_to_truth, gauge_fix,
                                  reconstruct_unitary, synthesize_measurements)
 from qhewalk.walk import classical_output_distribution, output_distribution
-from oracles import haar_unitary
+from oracles import haar_unitary, lm_by_scipy
 
 U1 = unitarize(np.array([
     [0.74, 0.38, 0.39, 0.40],
@@ -205,6 +207,54 @@ class TestReconstruct:
         b = reconstruct_unitary(meas, seed=2)
         assert np.array_equal(a.unitary.matrix, b.unitary.matrix)
         assert a.residual == b.residual
+
+
+class TestLevenbergMarquardt:
+    @pytest.mark.parametrize("counts", [None, 1e6])
+    @pytest.mark.parametrize("device", ["u1", "u2", "haar4", "haar6", "haar8"])
+    def test_fit_matches_scipy_least_squares(self, device, counts, monkeypatch):
+        # dual route: the same residuals, seed and restart draws through scipy's MINPACK
+        if device.startswith("haar"):
+            U = haar_unitary(int(device[4:]), np.random.default_rng(31))
+        else:
+            U = load_device(device).unitary
+        meas = synthesize_measurements(U, MeasurementNoise(counts), make_rng(3))
+        # a noisy fit uses every restart; four keep the m = 8 comparison short
+        restarts = 16 if counts is None else 4
+        ours = reconstruct_unitary(meas, restarts=restarts, seed=3)
+        monkeypatch.setattr(reconstruct, "_levenberg_marquardt", lm_by_scipy)
+        ref = reconstruct_unitary(meas, restarts=restarts, seed=3)
+        assert ours.restarts_used == ref.restarts_used
+        assert ours.success == ref.success
+        # a noiseless residual is roundoff (below 2e-15), so it gets an absolute floor
+        assert ours.residual == pytest.approx(ref.residual, rel=1e-6, abs=1e-13)
+        assert np.max(np.abs(ours.unitary.matrix - ref.unitary.matrix)) <= 1e-8
+
+    def test_rosenbrock_minimum(self):
+        def rosenbrock(x):
+            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+        x, cost = reconstruct._levenberg_marquardt(rosenbrock, [-1.2, 1.0])
+        assert np.max(np.abs(x - 1.0)) <= 1e-10
+        assert cost <= 1e-25
+
+    def test_linear_least_squares_minimum(self):
+        # an inconsistent system: the minimum has a nonzero cost
+        rng = np.random.default_rng(6)
+        A, b = rng.standard_normal((30, 5)), rng.standard_normal(30)
+        best, *_ = np.linalg.lstsq(A, b, rcond=None)
+        x, cost = reconstruct._levenberg_marquardt(lambda x: A @ x - b, np.zeros(5))
+        assert np.max(np.abs(x - best)) <= 1e-8
+        assert cost == pytest.approx(0.5 * np.sum((A @ best - b) ** 2), rel=1e-12)
+
+    def test_stops_at_the_evaluation_cap(self):
+        # exp(-x) decreases forever; only the cap of 100 n (n + 1) calls ends the fit
+        calls = []
+        def decaying(x):
+            calls.append(x[0])
+            return np.exp(-x)
+        x, _ = reconstruct._levenberg_marquardt(decaying, np.zeros(1))
+        assert 190 <= len(calls) <= 200
+        assert 90 <= x[0] <= 100
 
 
 class TestPayload:
