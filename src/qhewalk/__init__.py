@@ -10,14 +10,14 @@ what an adversary without the key can learn, and recovers device unitaries
 from synthetic interference data.
 """
 from .numerics import hermitian_eig, permanent, permanent_naive, unitarize
-from .polarization import (KeyEnsemble, PolarizationKey, encrypt, linear_ensemble, linear_key,
+from .polarization import (KeyEnsemble, PolarizationKey, encrypt, linear_ensemble,
                            poincare_ensemble, sample_haar_key)
 from .reconstruct import (GaugeFixedUnitary, MeasurementNoise, MeasurementSet,
                           gauge_fix, reconstruct_unitary, synthesize_measurements)
 from .security import (attack_asymptote, attack_success, encrypted_density, holevo,
                        simulate_attack, trace_distance, von_neumann_entropy)
-from .walk import (NoiseModel, bhattacharyya_fidelity, encode_input,
-                   output_distribution, protocol_distribution, run_protocol)
+from .walk import (NoiseModel, bhattacharyya_fidelity, output_distribution,
+                   protocol_distribution, run_protocol)
 
 __version__ = "0.1.0"
 
@@ -31,14 +31,12 @@ __all__ = [
     "attack_asymptote",
     "attack_success",
     "bhattacharyya_fidelity",
-    "encode_input",
     "encrypt",
     "encrypted_density",
     "gauge_fix",
     "hermitian_eig",
     "holevo",
     "linear_ensemble",
-    "linear_key",
     "output_distribution",
     "permanent",
     "permanent_naive",

@@ -29,7 +29,7 @@ import numpy as np
 from .numerics import unitarize
 from .polarization import PolarizationKey, as_bits, linear_ensemble, parse_ensemble, parse_grid
 from .reconstruct import (MeasurementNoise, MeasurementSet, compare_to_truth,
-                          reconstruct_unitary, synthesize_measurements)
+                          reconstruct_unitary, require_threshold, synthesize_measurements)
 from .security import (encrypted_density, attack_asymptote, attack_success,
                        hidden_bits_linear_asymptotic, holevo, holevo_poincare_limit,
                        simulate_attack, trace_distance, von_neumann_entropy)
@@ -175,7 +175,8 @@ def cmd_walk(args) -> int:
     key, key_echo = parse_key_spec(args.key, rng)
     with in_field("visibility"):
         noise = NoiseModel(args.visibility)
-    noise = replace(noise, higher_order_rate=args.higher_order_rate)
+    with in_field("higher_order_rate"):
+        noise = replace(noise, higher_order_rate=args.higher_order_rate)
 
     result = run_protocol(device.unitary, bits, key, args.shots, rng,
                           noise=noise, threads=thread_count())
@@ -352,8 +353,13 @@ def cmd_reconstruct(args) -> int:
     if args.noise == "none" and args.counts is not None:
         raise ValueError("--noise none contradicts --counts")
 
-    distinguishability = 1.0 if args.distinguishability is None else args.distinguishability
-    noise = MeasurementNoise(args.counts, distinguishability)
+    with in_field("counts"):
+        noise = MeasurementNoise(args.counts)
+    if args.distinguishability is not None:
+        with in_field("distinguishability"):
+            noise = replace(noise, distinguishability=args.distinguishability)
+    with in_field("threshold"):
+        require_threshold(args.threshold)
     device = load_device(args.device) if args.device else None
 
     if args.measurements:

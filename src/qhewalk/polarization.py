@@ -199,11 +199,6 @@ def parse_ensemble(text: str) -> KeyEnsemble:
     return KeyEnsemble(kind, dims)
 
 
-def linear_key(k: int, d: int) -> PolarizationKey:
-    """Key rotating the linear-polarization plane by k*pi/d: point k of linear:d."""
-    return linear_ensemble(d).key(k)
-
-
 def sample_haar_key(random_source, d1: int, d2: int, d3: int) -> PolarizationKey:
     """Draw a key uniformly from the discretized Haar grid poincare:d1,d2,d3."""
     return poincare_ensemble(d1, d2, d3).sample(random_source)

@@ -241,26 +241,64 @@ def canonical_form(U) -> np.ndarray:
     return M
 
 
-def _levenberg_marquardt(fun, x0):
+def _phase_jacobian(A, idx, cmax):
+    """Jacobian of reconstruct_unitary's residuals in the free phases.
+
+    Visibility rows: with t1 = M_ji M_j2i2, t2 = M_j2i M_ji2 and z = t1 + t2,
+    dV/dphi is 2 Im(conj(z) t1) / C_max for phi_ji and phi_j2i2, and
+    2 Im(conj(z) t2) / C_max for phi_j2i and phi_ji2; 0 where C_max (fixed by
+    the amplitudes) vanishes. The gauge-fixed first row and column carry no
+    phase. Unitarity rows: M^H dM/dphi_ab puts i conj(M[a, :]) M_ab in column
+    b; d(M^H M)/dphi_ab adds its conjugate transpose.
+    """
+    m = A.shape[0]
+    pi, pi2, pj, pj2 = idx
+    scale = np.zeros(len(pi))
+    ok = cmax > _ZERO_COINCIDENCE
+    scale[ok] = 2.0 / cmax[ok]
+
+    def slots(*entries):
+        # 2 / C_max in the columns of the free phases among the (out, in) entries of each row
+        S = np.zeros((len(pi), (m - 1) ** 2))
+        for out, into in entries:
+            free = (out > 0) & (into > 0)
+            S[free, (out[free] - 1) * (m - 1) + into[free] - 1] = scale[free]
+        return S
+
+    S1, S2 = slots((pj, pi), (pj2, pi2)), slots((pj2, pi), (pj, pi2))
+    E = np.eye(m)[:, 1:]
+
+    def jac(phases):
+        M = _with_phases(A, phases)
+        t1 = M[pj, pi] * M[pj2, pi2]
+        t2 = M[pj2, pi] * M[pj, pi2]
+        zc = np.conj(t1 + t2)
+        T = 1j * np.einsum("ac,ab,db->cdab", M[1:].conj(), M[1:, 1:], E)
+        dG = (T + T.transpose(1, 0, 2, 3).conj()).reshape(m * m, -1)
+        return np.vstack([(zc * t1).imag[:, None] * S1 + (zc * t2).imag[:, None] * S2,
+                          dG.real, dG.imag])
+
+    return jac
+
+
+def _levenberg_marquardt(fun, jac, x0):
     """Minimize 0.5 ||fun(x)||^2 from x0; returns (x, cost).
 
-    Levenberg-Marquardt after MINPACK's lmdif (More 1978): a forward-difference
-    Jacobian with step sqrt(eps)|x_j| (sqrt(eps) where x_j = 0), damping scaled
-    by D = diag(J^T J), and lmdif's stopping rules with xtol = ftol = gtol =
-    1e-15. At most 100 n (n + 1) evaluations of fun, Jacobian columns included.
+    Levenberg-Marquardt after MINPACK's lmder (More 1978): the Jacobian from
+    jac(x), damping scaled by D = diag(J^T J), and lmder's stopping rules with
+    xtol = ftol = gtol = 1e-15. At most 100 (n + 1) calls, each call of fun or
+    of jac counting one.
     """
     tol = 1e-15
     x = np.array(x0, dtype=float)
     f = fun(x)
     n = x.size
-    nfev, max_nfev = 1, 100 * n * (n + 1)
-    root_eps = math.sqrt(np.finfo(float).eps)
+    calls, max_calls = 1, 100 * (n + 1)
     lam = 1e-3
     converged = False
-    while not converged and f.any() and nfev + n < max_nfev:
-        h = root_eps * np.where(x == 0.0, 1.0, np.abs(x))
-        J = np.column_stack([(fun(x + hj * e) - f) / hj for hj, e in zip(h, np.eye(n))])
-        nfev += n
+    while not converged and f.any() and calls + 1 < max_calls:
+        J = jac(x)
+        calls += 1
         g, A, f2 = J.T @ f, J.T @ J, f @ f
         d = np.diag(A).copy()
         live = d > 0.0
@@ -268,10 +306,10 @@ def _levenberg_marquardt(fun, x0):
         if np.max(np.abs(g[live]) / np.sqrt(d[live] * f2), initial=0.0) <= tol:
             break
         d[~live] = 1.0
-        while nfev < max_nfev:
+        while calls < max_calls:
             p = np.linalg.solve(A + lam * np.diag(d), -g)
             f_new = fun(x + p)
-            nfev += 1
+            calls += 1
             # actual and predicted relative reductions of ||f||^2 (ftol), step size (xtol)
             actred = 1.0 - (f_new @ f_new) / f2
             prered = (p @ A @ p + 2.0 * lam * (d * p) @ p) / f2
@@ -284,6 +322,12 @@ def _levenberg_marquardt(fun, x0):
             if converged:
                 break
     return x, 0.5 * float(f @ f)
+
+
+def require_threshold(residual_threshold: float) -> None:
+    """A residual threshold is finite and >= 0."""
+    if not 0.0 <= residual_threshold < math.inf:
+        raise ValueError(f"residual_threshold must be finite and >= 0, got {residual_threshold}")
 
 
 def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
@@ -304,8 +348,7 @@ def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
         raise ValueError(f"m <= {MAX_MODES} supported, got {m}")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if not 0.0 <= residual_threshold < math.inf:
-        raise ValueError(f"residual_threshold must be finite and >= 0, got {residual_threshold}")
+    require_threshold(residual_threshold)
     anchored = {((0, i), (0, j)) for i in range(1, m) for j in range(1, m)}
     missing = anchored - set(meas.visibilities)
     if missing:
@@ -328,10 +371,12 @@ def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
         return np.concatenate([_visibilities(*_coincidences(M, idx)) - vmeas,
                                unitarity_rows(M)])
 
+    cmax = _coincidences(A, idx)[1]
+    jacobian = _phase_jacobian(A, idx, cmax)
+
     # analytic |phase| seed: for pair ((0,i),(0,j)) the visibility depends
     # only on cos(phase_ji) once the gauge zeroes the anchoring entries
     est = np.zeros((m - 1, m - 1))
-    cmax = _coincidences(A, idx)[1]
     for a, ((i, i2), (j, j2)) in enumerate(pairs):
         if i == 0 and j == 0:
             den = 2.0 * A[j, i] * A[j2, i2] * A[j2, i] * A[j, i2]
@@ -349,7 +394,7 @@ def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
         else:
             signs = rng.choice([-1.0, 1.0], size=nfree)
             x0 = est.ravel() * signs + rng.normal(0.0, 0.05, nfree)
-        x, cost = _levenberg_marquardt(residuals, x0)
+        x, cost = _levenberg_marquardt(residuals, jacobian, x0)
         if best_x is None or cost < best_cost:
             best_x, best_cost = x, cost
         if best_cost < 1e-18:

@@ -59,14 +59,6 @@ def as_occupation(counts) -> tuple[int, ...]:
     return occ
 
 
-def encode_input(occupation) -> str:
-    """Dual-rail encoding: count 1 -> bit 0 (walker |H>), count 0 -> bit 1 (dummy |V>)."""
-    occ = as_occupation(occupation)
-    if any(c > 1 for c in occ):
-        raise EncodingError(f"one photon per input mode required, got {occ}")
-    return occupation_to_bits(occ)
-
-
 def walker_pattern(plaintext) -> tuple[int, ...]:
     """Occupation of the walker (|H>) photons for a plaintext."""
     return tuple(1 if b == 0 else 0 for b in as_bits(plaintext))

@@ -87,6 +87,8 @@ REPORTS = _walks() + [
     ("reconstruct-u1", ["reconstruct", "--device", "u1", "--noise", "none", "--seed", "1"]),
     ("reconstruct-u2-poisson", ["reconstruct", "--device", "u2", "--counts", "1e5",
                                 "--restarts", "4", "--seed", "2"]),
+    ("reconstruct-haar8-poisson", ["reconstruct", "--device", "devices/haar8-0.json",
+                                   "--counts", "1e5", "--seed", "5"]),
     ("devices", ["devices"]),
     ("devices-dump-u1", ["devices", "--dump", "u1"]),
 ]

@@ -126,6 +126,14 @@ def lm_by_scipy(fun, x0):
     return sol.x, sol.cost
 
 
+def jacobian_by_differences(fun, x) -> np.ndarray:
+    """Central-difference Jacobian of fun at x, step eps^(1/3) max(1, |x_j|) per coordinate."""
+    x = np.asarray(x, dtype=float)
+    h = np.finfo(float).eps ** (1.0 / 3.0) * np.maximum(1.0, np.abs(x))
+    return np.column_stack([(fun(x + hj * e) - fun(x - hj * e)) / (2.0 * hj)
+                            for hj, e in zip(h, np.eye(x.size))])
+
+
 def total_variation(p: dict, q: dict) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)

@@ -145,6 +145,10 @@ def test_rejections_name_the_field_or_file(tmp_path):
               (("walk", "--device", "u1", "--input", "011"), "input:"),
               (("walk", "--device", "u1", "--input", "01a1"), "input:"),
               (("walk", "--device", "u1", "--input", "0110", "--visibility", "2"), "visibility:"),
+              (("walk", "--device", "u1", "--input", "0110", "--higher-order-rate", "2"),
+               "higher_order_rate:"),
+              (("reconstruct", "--device", "u1", "--counts", "0"), "counts:"),
+              (("reconstruct", "--device", "u1", "--threshold", "nan"), "threshold:"),
               (("security", "--m", "9"), "m:"),
               (("security", "--m", "2", "--attack-trials", "0"), "attack_trials:")]
     for argv, field in cases:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from qhewalk.polarization import (H, V, KeyRangeError, PlaintextError,
                                   Polarization, PolarizationKey, as_bits, encrypt,
-                                  linear_ensemble, linear_key, poincare_ensemble,
+                                  linear_ensemble, poincare_ensemble,
                                   projection_probability, rotation_matrices, rotation_matrix,
                                   sample_haar_key)
 from oracles import A, D, euler_rotation_expm, measure_in_key_basis
@@ -51,14 +51,14 @@ def test_rotation_matrices_broadcast():
 
 class TestLinearKey:
     def test_small_angle_branch(self):
-        key = linear_key(1, 6)  # theta = pi/6 <= pi/2
+        key = linear_ensemble(6).key(1)  # theta = pi/6 <= pi/2
         theta = np.pi / 6
         R = rotation_matrix(key)
         ref = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         assert np.max(np.abs(R - ref)) <= 1e-12
 
     def test_fold_over_branch(self):
-        key = linear_key(5, 6)  # theta = 5pi/6 > pi/2 needs the folded Euler triple
+        key = linear_ensemble(6).key(5)  # theta = 5pi/6 > pi/2 needs the folded Euler triple
         theta = 5 * np.pi / 6
         R = rotation_matrix(key)
         ref = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
@@ -69,20 +69,20 @@ class TestLinearKey:
         d = 24
         for k in range(d):
             theta = k * np.pi / d
-            R = rotation_matrix(linear_key(k, d))
+            R = rotation_matrix(linear_ensemble(d).key(k))
             ref = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
             assert np.max(np.abs(R - ref)) <= 1e-12
 
     def test_identity_key(self):
-        assert np.max(np.abs(rotation_matrix(linear_key(0, 1)) - np.eye(2))) == 0.0
+        assert np.max(np.abs(rotation_matrix(linear_ensemble(1).key(0)) - np.eye(2))) == 0.0
 
     def test_range_errors(self):
         with pytest.raises(KeyRangeError):
-            linear_key(-1, 4)
+            linear_ensemble(4).key(-1)
         with pytest.raises(KeyRangeError):
-            linear_key(4, 4)
+            linear_ensemble(4).key(4)
         with pytest.raises(KeyRangeError):
-            linear_key(0, 0)
+            linear_ensemble(0).key(0)
 
 
 def test_key_angle_validation():
@@ -111,12 +111,12 @@ def test_polarization_normalization():
 
 class TestEncrypt:
     def test_identity_key_maps_bits_to_h_v(self):
-        states = encrypt("01", linear_key(0, 1))
+        states = encrypt("01", linear_ensemble(1).key(0))
         assert np.allclose(states[0].vector, H.vector)
         assert np.allclose(states[1].vector, V.vector)
 
     def test_diagonal_key(self):
-        states = encrypt("0", linear_key(1, 4))
+        states = encrypt("0", linear_ensemble(4).key(1))
         assert np.allclose(states[0].vector, D.vector)
 
     def test_decryption_round_trip(self):
@@ -129,8 +129,8 @@ class TestEncrypt:
 
     def test_wrong_key_leaks_nothing_specific(self):
         # any linear key rotated by pi/4 from the encryption key gives 50/50
-        state = encrypt("0", linear_key(0, 1))[0]
-        assert projection_probability(state, linear_key(1, 4)) == pytest.approx(0.5)
+        state = encrypt("0", linear_ensemble(1).key(0))[0]
+        assert projection_probability(state, linear_ensemble(4).key(1)) == pytest.approx(0.5)
 
 
 def test_grid_key_endpoints():
@@ -210,12 +210,12 @@ def test_sample_haar_key_pinned():
 
 def test_measure_in_key_basis_statistics():
     rng = np.random.default_rng(0)
-    draws = [measure_in_key_basis(D, linear_key(0, 1), rng) for _ in range(4000)]
+    draws = [measure_in_key_basis(D, linear_ensemble(1).key(0), rng) for _ in range(4000)]
     frac = np.mean(draws)
     assert abs(frac - 0.5) < 4 * np.sqrt(0.25 / 4000)
 
 
 def test_measure_in_key_basis_pure_cases():
     rng = np.random.default_rng(0)
-    assert measure_in_key_basis(H, linear_key(0, 1), rng) == 0
-    assert measure_in_key_basis(V, linear_key(0, 1), rng) == 1
+    assert measure_in_key_basis(H, linear_ensemble(1).key(0), rng) == 0
+    assert measure_in_key_basis(V, linear_ensemble(1).key(0), rng) == 1

@@ -11,7 +11,7 @@ from qhewalk.reconstruct import (GaugeFixedUnitary, MeasurementFormatError,
                                  canonical_form, compare_to_truth, gauge_fix,
                                  reconstruct_unitary, synthesize_measurements)
 from qhewalk.walk import classical_output_distribution, output_distribution
-from oracles import haar_unitary, lm_by_scipy
+from oracles import haar_unitary, jacobian_by_differences, lm_by_scipy
 
 U1 = unitarize(np.array([
     [0.74, 0.38, 0.39, 0.40],
@@ -24,6 +24,19 @@ COUPLER = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
 def make_rng(seed=0):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def fit_functions(U):
+    """The residual and Jacobian functions reconstruct_unitary hands its solver for U's data."""
+    seen = []
+
+    def record(fun, jac, x0):
+        seen.append((fun, jac))
+        return x0, 0.0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reconstruct, "_levenberg_marquardt", record)
+        reconstruct_unitary(synthesize_measurements(U), restarts=1)
+    return seen[0]
 
 
 class TestSynthesize:
@@ -210,6 +223,38 @@ class TestReconstruct:
 
 
 class TestLevenbergMarquardt:
+    @pytest.mark.parametrize("device", [f"haar{m}" for m in range(2, 9)] + ["identity4"])
+    def test_jacobian_matches_central_differences(self, device):
+        # dual route: the closed form against differences of the residuals it differentiates;
+        # identity4 has C_max = 0 on most visibility rows
+        if device.startswith("haar"):
+            U = haar_unitary(int(device[4:]), np.random.default_rng(31))
+        else:
+            U = load_device(device).unitary
+        fun, jac = fit_functions(U)
+        m = U.shape[0]
+        rng = np.random.default_rng(m)
+        for _ in range(3):
+            phases = rng.uniform(-np.pi, np.pi, (m - 1) ** 2)
+            assert np.max(np.abs(jac(phases) - jacobian_by_differences(fun, phases))) <= 1e-7
+
+    @pytest.mark.parametrize("counts", [1e4, 1e5])
+    @pytest.mark.parametrize("m", [4, 6, 8])
+    def test_fit_matches_difference_jacobian(self, m, counts, monkeypatch):
+        # dual route: the same solver, seed and restart draws on a central-difference Jacobian
+        U = haar_unitary(m, np.random.default_rng(31))
+        meas = synthesize_measurements(U, MeasurementNoise(counts), make_rng(3))
+        # a noisy fit uses every restart; four keep the m = 8 difference route short
+        ours = reconstruct_unitary(meas, restarts=4, seed=3)
+        solve = reconstruct._levenberg_marquardt
+        monkeypatch.setattr(reconstruct, "_levenberg_marquardt", lambda fun, jac, x0: solve(
+            fun, lambda x: jacobian_by_differences(fun, x), x0))
+        ref = reconstruct_unitary(meas, restarts=4, seed=3)
+        assert ours.restarts_used == ref.restarts_used
+        assert ours.success == ref.success
+        assert ours.residual == pytest.approx(ref.residual, rel=1e-6)
+        assert np.max(np.abs(ours.unitary.matrix - ref.unitary.matrix)) <= 1e-6
+
     @pytest.mark.parametrize("counts", [None, 1e6])
     @pytest.mark.parametrize("device", ["u1", "u2", "haar4", "haar6", "haar8"])
     def test_fit_matches_scipy_least_squares(self, device, counts, monkeypatch):
@@ -222,7 +267,8 @@ class TestLevenbergMarquardt:
         # a noisy fit uses every restart; four keep the m = 8 comparison short
         restarts = 16 if counts is None else 4
         ours = reconstruct_unitary(meas, restarts=restarts, seed=3)
-        monkeypatch.setattr(reconstruct, "_levenberg_marquardt", lm_by_scipy)
+        monkeypatch.setattr(reconstruct, "_levenberg_marquardt",
+                            lambda fun, jac, x0: lm_by_scipy(fun, x0))
         ref = reconstruct_unitary(meas, restarts=restarts, seed=3)
         assert ours.restarts_used == ref.restarts_used
         assert ours.success == ref.success
@@ -233,7 +279,10 @@ class TestLevenbergMarquardt:
     def test_rosenbrock_minimum(self):
         def rosenbrock(x):
             return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
-        x, cost = reconstruct._levenberg_marquardt(rosenbrock, [-1.2, 1.0])
+
+        def jacobian(x):
+            return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+        x, cost = reconstruct._levenberg_marquardt(rosenbrock, jacobian, [-1.2, 1.0])
         assert np.max(np.abs(x - 1.0)) <= 1e-10
         assert cost <= 1e-25
 
@@ -242,18 +291,26 @@ class TestLevenbergMarquardt:
         rng = np.random.default_rng(6)
         A, b = rng.standard_normal((30, 5)), rng.standard_normal(30)
         best, *_ = np.linalg.lstsq(A, b, rcond=None)
-        x, cost = reconstruct._levenberg_marquardt(lambda x: A @ x - b, np.zeros(5))
+        x, cost = reconstruct._levenberg_marquardt(lambda x: A @ x - b, lambda x: A, np.zeros(5))
         assert np.max(np.abs(x - best)) <= 1e-8
         assert cost == pytest.approx(0.5 * np.sum((A @ best - b) ** 2), rel=1e-12)
 
     def test_stops_at_the_evaluation_cap(self):
-        # exp(-x) decreases forever; only the cap of 100 n (n + 1) calls ends the fit
+        # exp(-x) decreases forever; only the cap of 100 (n + 1) = 200 calls ends the fit.
+        # Each call of the residuals or of the Jacobian counts one, and each accepted
+        # step moves x by about 1: a Jacobian and a residual call per unit of x
         calls = []
+
         def decaying(x):
-            calls.append(x[0])
+            calls.append("fun")
             return np.exp(-x)
-        x, _ = reconstruct._levenberg_marquardt(decaying, np.zeros(1))
+
+        def slope(x):
+            calls.append("jac")
+            return -np.exp(-x)[:, None]
+        x, _ = reconstruct._levenberg_marquardt(decaying, slope, np.zeros(1))
         assert 190 <= len(calls) <= 200
+        assert calls.count("jac") >= 90
         assert 90 <= x[0] <= 100
 
 

@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from qhewalk.numerics import ContractError, DimensionError, permanent, unitarize
-from qhewalk.polarization import linear_key, sample_haar_key
-from qhewalk.walk import (MAX_SHOTS, DeviceFormatError, EncodingError, NoiseModel,
+from qhewalk.polarization import linear_ensemble, sample_haar_key
+from qhewalk.walk import (MAX_SHOTS, DeviceFormatError, NoiseModel,
                           bhattacharyya_fidelity, classical_output_distribution,
-                          encode_input, occupation_states,
-                          occupation_to_bits, output_distribution, postselect,
+                          occupation_states, occupation_to_bits, output_distribution, postselect,
                           protocol_distribution, run_protocol, unitary_from_payload,
                           unitary_to_payload, walker_pattern)
 from oracles import (distinguishable_distribution, haar_unitary, polynomial_distribution,
@@ -28,13 +27,14 @@ COUPLER = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
 
 class TestEncoding:
     def test_examples(self):
-        assert encode_input((1, 0, 0, 0)) == "0111"
-        assert encode_input((1, 1, 1, 1)) == "0000"
-        assert encode_input((0, 1, 1, 0)) == "1001"
+        # dual rail: a walker (count 1) reads as bit 0, an empty mode as bit 1
+        assert occupation_to_bits((1, 0, 0, 0)) == "0111"
+        assert occupation_to_bits((1, 1, 1, 1)) == "0000"
+        assert occupation_to_bits((0, 1, 1, 0)) == "1001"
 
     def test_rejects_multiple_photons_per_mode(self):
-        with pytest.raises(EncodingError):
-            encode_input((2, 0, 0, 0))
+        # the receiver discards an outcome with two walkers in one mode
+        assert postselect({(2, 0, 0, 0): 0.25, (1, 0, 0, 1): 0.75}) == ({"0110": 1.0}, 0.25)
 
     def test_patterns_partition_the_modes(self):
         assert walker_pattern("0111") == (1, 0, 0, 0)
@@ -123,7 +123,7 @@ class TestOutputDistribution:
         with pytest.raises(ContractError):
             output_distribution(nan, (0, 0, 0, 0))
         with pytest.raises(ContractError):
-            run_protocol(nan, "1111", linear_key(0, 1), 10, np.random.default_rng(0))
+            run_protocol(nan, "1111", linear_ensemble(1).key(0), 10, np.random.default_rng(0))
 
     def test_rejects_too_many_photons(self):
         with pytest.raises(ContractError):
@@ -216,7 +216,7 @@ def make_rng(seed=0):
 
 class TestRunProtocol:
     def test_identity_returns_plaintext(self):
-        result = run_protocol(np.eye(4), "1010", linear_key(0, 1), 50, make_rng())
+        result = run_protocol(np.eye(4), "1010", linear_ensemble(1).key(0), 50, make_rng())
         assert result.occupation_counts == {(0, 1, 0, 1): 50}
         assert postselect(result.occupation_counts) == ({"1010": 1.0}, 0)
 
@@ -234,13 +234,13 @@ class TestRunProtocol:
             assert total_variation(d, dists[0]) == 0.0
 
     def test_empirical_matches_exact(self):
-        result = run_protocol(U1, "0111", linear_key(0, 1), 100000, make_rng(7))
+        result = run_protocol(U1, "0111", linear_ensemble(1).key(0), 100000, make_rng(7))
         exact = protocol_distribution(U1, "0111")
         fidelity = bhattacharyya_fidelity(exact, result.empirical_occupations())
         assert fidelity >= 0.995
 
     def test_three_walker_collisions_are_tallied(self):
-        result = run_protocol(U1, "1000", linear_key(0, 1), 20000, make_rng(3))
+        result = run_protocol(U1, "1000", linear_ensemble(1).key(0), 20000, make_rng(3))
         bitstrings, collisions = postselect(result.occupation_counts)
         assert collisions > 0
         kept = result.shots - collisions
@@ -252,20 +252,20 @@ class TestRunProtocol:
         assert all(set(b) <= {"0", "1"} and len(b) == 4 for b in bitstrings)
 
     def test_shot_split_is_thread_invariant(self):
-        a = run_protocol(U1, "0011", linear_key(1, 4), 4999, make_rng(11), threads=1)
-        b = run_protocol(U1, "0011", linear_key(1, 4), 4999, make_rng(11), threads=4)
+        a = run_protocol(U1, "0011", linear_ensemble(4).key(1), 4999, make_rng(11), threads=1)
+        b = run_protocol(U1, "0011", linear_ensemble(4).key(1), 4999, make_rng(11), threads=4)
         assert a.occupation_counts == b.occupation_counts
         assert postselect(a.occupation_counts) == postselect(b.occupation_counts)
 
     def test_result_carries_protocol_distribution(self):
         for noise in (NoiseModel(), NoiseModel(0.9, 0.01), NoiseModel(0.5, 0.0)):
-            result = run_protocol(U1, "0100", linear_key(0, 1), 100, make_rng(2), noise=noise)
+            result = run_protocol(U1, "0100", linear_ensemble(1).key(0), 100, make_rng(2), noise=noise)
             assert result.exact_occupations == protocol_distribution(U1, "0100", noise)
 
     def test_pinned_counts_with_noise(self):
         # recorded with one uniform per shot drawn against protocol_distribution,
         # so spurious shots come from the printed law
-        result = run_protocol(U1, "0101", linear_key(0, 1), 3000, make_rng(5),
+        result = run_protocol(U1, "0101", linear_ensemble(1).key(0), 3000, make_rng(5),
                               noise=NoiseModel(0.9, 0.01))
         assert result.occupation_counts == {
             (0, 0, 0, 2): 50, (0, 0, 1, 1): 251, (0, 0, 2, 0): 574, (0, 1, 0, 1): 100,
@@ -277,7 +277,7 @@ class TestRunProtocol:
         # Pearson chi-square of 10^6 shots against the printed law; a correct
         # sampler falls below the threshold with probability 1e-6
         noise = NoiseModel(hom_visibility=0.5, higher_order_rate=0.2)
-        result = run_protocol(U1, "1000", linear_key(0, 1), 10 ** 6, make_rng(41), noise=noise)
+        result = run_protocol(U1, "1000", linear_ensemble(1).key(0), 10 ** 6, make_rng(41), noise=noise)
         law = protocol_distribution(U1, "1000", noise)
         expected = np.array([p * result.shots for p in law.values()])
         observed = np.array([result.occupation_counts.get(t, 0) for t in law])
@@ -285,18 +285,18 @@ class TestRunProtocol:
         assert chi2.sf(statistic, df=len(law) - 1) >= 1e-6
 
     def test_same_seed_same_counts(self):
-        a = run_protocol(U1, "0101", linear_key(0, 1), 3000, make_rng(5))
-        b = run_protocol(U1, "0101", linear_key(0, 1), 3000, make_rng(5))
+        a = run_protocol(U1, "0101", linear_ensemble(1).key(0), 3000, make_rng(5))
+        b = run_protocol(U1, "0101", linear_ensemble(1).key(0), 3000, make_rng(5))
         assert a.occupation_counts == b.occupation_counts
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            run_protocol(U1, "011", linear_key(0, 1), 10, make_rng())
+            run_protocol(U1, "011", linear_ensemble(1).key(0), 10, make_rng())
 
     def test_bad_shots(self):
         for shots in (0, MAX_SHOTS + 1):
             with pytest.raises(ValueError, match="shots"):
-                run_protocol(U1, "0111", linear_key(0, 1), shots, make_rng())
+                run_protocol(U1, "0111", linear_ensemble(1).key(0), shots, make_rng())
 
 
 class TestPostselect:
