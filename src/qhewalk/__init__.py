@@ -8,46 +8,35 @@ input; because the device acts on paths only, the computation commutes with
 the encryption. This package simulates that pipeline classically, quantifies
 what an adversary without the key can learn, and recovers device unitaries
 from synthetic interference data.
+
+The public names load their module on first use (PEP 562), so importing the
+package, or only the command line, loads no numerical code.
 """
-from .numerics import hermitian_eig, permanent, permanent_naive, unitarize
-from .polarization import (KeyEnsemble, PolarizationKey, encrypt, linear_ensemble,
-                           poincare_ensemble, sample_haar_key)
-from .reconstruct import (GaugeFixedUnitary, MeasurementNoise, MeasurementSet,
-                          gauge_fix, reconstruct_unitary, synthesize_measurements)
-from .security import (attack_asymptote, attack_success, encrypted_density, holevo,
-                       simulate_attack, trace_distance, von_neumann_entropy)
-from .walk import (NoiseModel, bhattacharyya_fidelity, output_distribution,
-                   protocol_distribution, run_protocol)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GaugeFixedUnitary",
-    "KeyEnsemble",
-    "MeasurementNoise",
-    "MeasurementSet",
-    "NoiseModel",
-    "PolarizationKey",
-    "attack_asymptote",
-    "attack_success",
-    "bhattacharyya_fidelity",
-    "encrypt",
-    "encrypted_density",
-    "gauge_fix",
-    "hermitian_eig",
-    "holevo",
-    "linear_ensemble",
-    "output_distribution",
-    "permanent",
-    "permanent_naive",
-    "poincare_ensemble",
-    "protocol_distribution",
-    "reconstruct_unitary",
-    "run_protocol",
-    "sample_haar_key",
-    "simulate_attack",
-    "synthesize_measurements",
-    "trace_distance",
-    "unitarize",
-    "von_neumann_entropy",
-]
+# public name -> defining submodule
+_EXPORTS = {
+    "hermitian_eig": "numerics", "permanent": "numerics", "permanent_naive": "numerics",
+    "unitarize": "numerics",
+    "KeyEnsemble": "polarization", "PolarizationKey": "polarization", "encrypt": "polarization",
+    "linear_ensemble": "polarization", "poincare_ensemble": "polarization",
+    "sample_haar_key": "polarization",
+    "GaugeFixedUnitary": "reconstruct", "MeasurementNoise": "reconstruct",
+    "MeasurementSet": "reconstruct", "gauge_fix": "reconstruct",
+    "reconstruct_unitary": "reconstruct", "synthesize_measurements": "reconstruct",
+    "attack_asymptote": "security", "attack_success": "security",
+    "encrypted_density": "security", "holevo": "security", "simulate_attack": "security",
+    "trace_distance": "security", "von_neumann_entropy": "security",
+    "NoiseModel": "walk", "bhattacharyya_fidelity": "walk", "output_distribution": "walk",
+    "protocol_distribution": "walk", "run_protocol": "walk",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)

@@ -8,7 +8,10 @@ All output is machine-first JSON (``--csv`` gives flat tables for the walk and
 attack commands). Every report echoes its fully resolved configuration, and a
 given seed + configuration always produces byte-identical output. The
 QHE_THREADS environment variable caps sampling parallelism; it never changes
-results, so it is deliberately absent from the echoed configuration.
+results, so it is deliberately absent from the echoed configuration. Imported
+before numpy, this module pins BLAS to one thread, whatever the environment
+says. Each command imports the engine modules it uses when it runs, so a
+report loads no other numerical code.
 """
 from __future__ import annotations
 
@@ -24,17 +27,13 @@ from functools import cache
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
+# one BLAS thread, set before numpy first loads: eigensolver bits, and so the
+# security reports, would otherwise depend on the machine's BLAS thread count
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
-from .numerics import unitarize
-from .polarization import PolarizationKey, as_bits, linear_ensemble, parse_ensemble, parse_grid
-from .reconstruct import (MeasurementNoise, MeasurementSet, compare_to_truth,
-                          reconstruct_unitary, require_threshold, synthesize_measurements)
-from .security import (encrypted_density, attack_asymptote, attack_success,
-                       hidden_bits_linear_asymptotic, holevo, holevo_poincare_limit,
-                       simulate_attack, trace_distance, von_neumann_entropy)
-from .walk import (NoiseModel, bhattacharyya_fidelity, postselect, run_protocol,
-                   unitary_from_payload, unitary_to_payload)
+import numpy as np  # noqa: E402
+
+from .numerics import finite_number, unitarize  # noqa: E402
 
 BUILTIN_DEVICES = ("identity4", "u1", "u2")
 ATTACK_CURVE_D = (2, 3, 4, 6, 12)
@@ -89,6 +88,41 @@ def read_json(path):
         raise ValueError(f"{path}: not a JSON file ({exc})") from None
 
 
+class DeviceFormatError(ValueError):
+    """Device JSON payload is malformed."""
+
+
+def unitary_to_payload(U) -> dict:
+    """Serialize a mode unitary to the device-file JSON structure."""
+    M = np.asarray(U, dtype=complex)
+    return {
+        "m": int(M.shape[0]),
+        "unitary": [[[float(z.real), float(z.imag)] for z in row] for row in M],
+    }
+
+
+def unitary_from_payload(payload) -> np.ndarray:
+    """Parse and validate the device-file JSON structure (row = output mode)."""
+    if not isinstance(payload, dict) or "m" not in payload or "unitary" not in payload:
+        raise DeviceFormatError("device payload must be an object with 'm' and 'unitary'")
+    m = payload["m"]
+    rows = payload["unitary"]
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise DeviceFormatError(f"'m' must be a positive integer, got {m!r}")
+    if not isinstance(rows, list) or len(rows) != m:
+        raise DeviceFormatError(f"'unitary' must be a list of {m} rows")
+    out = np.zeros((m, m), dtype=complex)
+    for j, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != m:
+            raise DeviceFormatError(f"row {j} must have {m} entries")
+        for i, cell in enumerate(row):
+            field = f"'unitary' entry ({j},{i})"
+            if not isinstance(cell, list) or len(cell) != 2:
+                raise DeviceFormatError(f"{field} must be [re, im] numbers")
+            out[j, i] = complex(*(finite_number(v, field, DeviceFormatError) for v in cell))
+    return out
+
+
 def load_device(name_or_path: str) -> Device:
     """Load a builtin device by name or any device JSON by path.
 
@@ -122,8 +156,13 @@ def device_echo(device: Device) -> dict:
     }
 
 
-def parse_key_spec(spec: str, random_source) -> tuple[PolarizationKey, dict]:
-    """Key specs: linear:K/D (point K of linear:D) | euler:ALPHA,BETA,GAMMA | haar[:D1,D2,D3]."""
+def parse_key_spec(spec: str, random_source):
+    """(PolarizationKey, report echo) of a key spec.
+
+    Key specs: linear:K/D (point K of linear:D) | euler:ALPHA,BETA,GAMMA | haar[:D1,D2,D3].
+    """
+    from .polarization import PolarizationKey, parse_ensemble, parse_grid
+
     kind, sep, rest = spec.partition(":")
     k, slash, d = rest.partition("/")
     with in_field(f"key {spec!r}"):
@@ -166,6 +205,9 @@ def _csv_text(header, rows) -> str:
 # ----------------------------------------------------------------- commands
 
 def cmd_walk(args) -> int:
+    from .polarization import as_bits
+    from .walk import NoiseModel, bhattacharyya_fidelity, postselect, run_protocol
+
     rng = make_rng(args.seed)
     device = load_device(args.device)
     with in_field("input"):
@@ -227,6 +269,9 @@ def cmd_walk(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    from .polarization import as_bits, linear_ensemble, parse_grid
+    from .security import attack_asymptote
+
     if args.m < 1:
         raise ValueError("m must be >= 1")
     rng = make_rng(args.seed)
@@ -269,6 +314,8 @@ def cmd_attack(args) -> int:
 
 def _attack_curve(m: int, ds, plaintext, trials: int, rng) -> list[dict]:
     """Exact and simulated attack success for each key-set size d, drawn in order."""
+    from .security import attack_success, simulate_attack
+
     curve = []
     for d in ds:
         empirical = simulate_attack(m, d, plaintext, trials, rng)
@@ -280,6 +327,8 @@ def _attack_curve(m: int, ds, plaintext, trials: int, rng) -> list[dict]:
 
 def _hamming_trace_distances(m: int, ensemble, rho0) -> dict:
     """T(rho_00..0, rho with w trailing ones) for w = 1..min(3, m); rho0 is rho_00..0."""
+    from .security import encrypted_density, trace_distance
+
     out = {}
     for w in range(1, min(3, m) + 1):
         x = "0" * (m - w) + "1" * w
@@ -288,6 +337,10 @@ def _hamming_trace_distances(m: int, ensemble, rho0) -> dict:
 
 
 def cmd_security(args) -> int:
+    from .polarization import parse_ensemble
+    from .security import (encrypted_density, hidden_bits_linear_asymptotic, holevo,
+                           holevo_poincare_limit, von_neumann_entropy)
+
     if args.m < 1:
         raise ValueError("m must be >= 1")
     ensemble = parse_ensemble(args.ensemble)
@@ -344,6 +397,9 @@ def cmd_security(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    from .reconstruct import (MeasurementNoise, MeasurementSet, compare_to_truth,
+                              reconstruct_unitary, require_threshold, synthesize_measurements)
+
     rng = make_rng(args.seed)
     for field in ("noise", "counts", "distinguishability"):
         if args.measurements and getattr(args, field) is not None:

@@ -161,14 +161,19 @@ def _pair_indices(pairs):
     return pi, pi2, pj, pj2
 
 
+def _interfering(M, idx):
+    """Interfering coincidences (C_min) of the pairs in idx = _pair_indices(pairs)."""
+    pi, pi2, pj, pj2 = idx
+    return np.abs(M[pj, pi] * M[pj2, pi2] + M[pj2, pi] * M[pj, pi2]) ** 2
+
+
 def _coincidences(M, idx):
     """Interfering (C_min) and distinguishable (C_max) coincidences of the pairs
-    in idx = _pair_indices(pairs)."""
+    in idx = _pair_indices(pairs); C_max depends on the amplitudes |M| only."""
     pi, pi2, pj, pj2 = idx
     A2 = np.abs(M) ** 2
-    cmin = np.abs(M[pj, pi] * M[pj2, pi2] + M[pj2, pi] * M[pj, pi2]) ** 2
     cmax = A2[pj, pi] * A2[pj2, pi2] + A2[pj2, pi] * A2[pj, pi2]
-    return cmin, cmax
+    return _interfering(M, idx), cmax
 
 
 def _visibilities(cmin, cmax):
@@ -366,13 +371,14 @@ def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
         G = M.conj().T @ M - np.eye(m)
         return np.concatenate([G.real.ravel(), G.imag.ravel()])
 
-    def residuals(phi):
-        M = _with_phases(A, phi)
-        return np.concatenate([_visibilities(*_coincidences(M, idx)) - vmeas,
-                               unitarity_rows(M)])
-
+    # the phases leave the amplitudes, and so C_max, as they are
     cmax = _coincidences(A, idx)[1]
     jacobian = _phase_jacobian(A, idx, cmax)
+
+    def residuals(phi):
+        M = _with_phases(A, phi)
+        return np.concatenate([_visibilities(_interfering(M, idx), cmax) - vmeas,
+                               unitarity_rows(M)])
 
     # analytic |phase| seed: for pair ((0,i),(0,j)) the visibility depends
     # only on cos(phase_ji) once the gauge zeroes the anchoring entries

@@ -18,7 +18,6 @@ for poincare:d1,d2,d3, independent of d1 * d3.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -32,6 +31,8 @@ MAX_QUBITS = 8
 _ATTACK_TRIALS = 65536
 # uniforms drawn per attack chunk (trials x m): 32 MB of float64
 _ATTACK_DRAWS = 1 << 22
+# eight matched qubits as the bytes of one uint64 word
+_ALL_MATCH = 0x0101010101010101
 
 
 def _popcount_mask(m: int, d1: int) -> np.ndarray:
@@ -121,13 +122,19 @@ def attack_success(m: int, d: int) -> float:
     """Exact success probability of the random-basis attack: (1/d) sum_j cos^2m(j pi/d).
 
     Evaluated through the binomial expansion of cos^2m, which collapses the
-    angle sum to the Fourier modes divisible by d; exact in integer
-    arithmetic for any m, so huge m loses no precision.
+    angle sum to the Fourier modes divisible by d: the sum of C(2m, m + l)
+    over l = -m..m divisible by d, over 4^m. The binomials are even in l and
+    follow one exact integer recurrence from C(2m, m); the one division of two
+    integers is correctly rounded, so huge m loses no precision.
     """
     if m < 1 or d < 1:
         raise ValueError("m and d must be >= 1")
-    num = sum(math.comb(2 * m, m + l) for l in range(-m, m + 1) if l % d == 0)
-    return float(Fraction(num, 4 ** m))
+    binomial = num = math.comb(2 * m, m)
+    for l in range(1, m // d * d + 1):
+        binomial = binomial * (m - l + 1) // (m + l)  # C(2m, m + l)
+        if l % d == 0:
+            num += 2 * binomial
+    return num / 4 ** m
 
 
 def attack_asymptote(m) -> float:
@@ -144,22 +151,29 @@ def simulate_attack(m: int, d: int, plaintext, trials: int, random_source) -> fl
     bit-string equals the plaintext. For a linear key with angle theta each
     measured bit matches its plaintext bit with probability cos^2(theta),
     whichever value the bit has, so one uniform draw decides each qubit.
-    Trials run in chunks of at most _ATTACK_DRAWS uniforms, so memory does not
-    grow with m.
+    Trials run in chunks of at most _ATTACK_DRAWS uniforms, drawn into one
+    reused buffer, so memory does not grow with m. A trial's per-qubit
+    matches are bytes padded with ones to whole 8-byte words, and it wins when
+    the AND of its words is _ALL_MATCH.
     """
     bits = as_bits(plaintext)
     if len(bits) != m:
         raise DimensionError(f"plaintext length {len(bits)} != m = {m}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    angles = linear_ensemble(d).polar_angles()
-    chunk = max(1, min(_ATTACK_TRIALS, _ATTACK_DRAWS // m))
+    match_prob = np.cos(linear_ensemble(d).polar_angles()) ** 2  # per key
+    chunk = max(1, min(_ATTACK_TRIALS, _ATTACK_DRAWS // m, trials))
+    draws = np.empty((chunk, m))
+    # m match bytes per trial, then padding bytes that stay 1 up to a whole word
+    match = np.ones((chunk, -(-m // 8) * 8), dtype=bool)
     wins = 0
     for start in range(0, trials, chunk):
         n = min(chunk, trials - start)
-        theta = angles[random_source.integers(0, d, size=n)]
-        match_prob = np.cos(theta) ** 2
-        wins += int(np.all(random_source.random((n, m)) < match_prob[:, None], axis=1).sum())
+        p = match_prob[random_source.integers(0, d, size=n)]
+        random_source.random(out=draws[:n])
+        np.less(draws[:n], p[:, None], out=match[:n, :m])
+        words = np.bitwise_and.reduce(match[:n].view(np.uint64), axis=1)
+        wins += int(np.count_nonzero(words == _ALL_MATCH))
     return wins / trials
 
 

@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .numerics import ContractError, DimensionError, finite_number, permanent, require_unitary
+from .numerics import ContractError, DimensionError, permanent, require_unitary
 from .polarization import PolarizationKey, as_bits, encrypt, projection_probability
 
 MAX_WALKERS = 6
@@ -26,10 +26,6 @@ MAX_SHOTS = 10 ** 7
 
 class EncodingError(ValueError):
     """Occupation cannot be encoded in the one-photon-per-mode scheme."""
-
-
-class DeviceFormatError(ValueError):
-    """Device JSON payload is malformed."""
 
 
 @dataclass(frozen=True)
@@ -233,36 +229,3 @@ def bhattacharyya_fidelity(p: dict, q: dict) -> float:
     keys = sorted(set(p) | set(q))
     f = sum(math.sqrt(max(p.get(k, 0.0), 0.0) * max(q.get(k, 0.0), 0.0)) for k in keys)
     return float(min(1.0, f))
-
-
-# ------------------------------------------------------------------ devices
-
-def unitary_to_payload(U) -> dict:
-    """Serialize a mode unitary to the device-file JSON structure."""
-    M = np.asarray(U, dtype=complex)
-    return {
-        "m": int(M.shape[0]),
-        "unitary": [[[float(z.real), float(z.imag)] for z in row] for row in M],
-    }
-
-
-def unitary_from_payload(payload) -> np.ndarray:
-    """Parse and validate the device-file JSON structure (row = output mode)."""
-    if not isinstance(payload, dict) or "m" not in payload or "unitary" not in payload:
-        raise DeviceFormatError("device payload must be an object with 'm' and 'unitary'")
-    m = payload["m"]
-    rows = payload["unitary"]
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise DeviceFormatError(f"'m' must be a positive integer, got {m!r}")
-    if not isinstance(rows, list) or len(rows) != m:
-        raise DeviceFormatError(f"'unitary' must be a list of {m} rows")
-    out = np.zeros((m, m), dtype=complex)
-    for j, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != m:
-            raise DeviceFormatError(f"row {j} must have {m} entries")
-        for i, cell in enumerate(row):
-            field = f"'unitary' entry ({j},{i})"
-            if not isinstance(cell, list) or len(cell) != 2:
-                raise DeviceFormatError(f"{field} must be [re, im] numbers")
-            out[j, i] = complex(*(finite_number(v, field, DeviceFormatError) for v in cell))
-    return out

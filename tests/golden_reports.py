@@ -4,11 +4,11 @@
     python tests/golden_reports.py --compare A B
 
 Runs every argv in REPORTS in process against the ``qhewalk`` in this
-checkout's ``src/``, with QHE_THREADS=1, and writes NAME.out (stdout, or the
-``--out`` file for ``--csv`` reports) and, when the report fails or writes to
-stderr, NAME.err (exit code and stderr) into OUTDIR. Device files are written
-under OUTDIR and named by relative paths, so two checkouts give byte-identical
-files wherever their reports agree.
+checkout's ``src/``, with QHE_THREADS=1 and one BLAS thread, and writes
+NAME.out (stdout, or the ``--out`` file for ``--csv`` reports) and, when the
+report fails or writes to stderr, NAME.err (exit code and stderr) into
+OUTDIR. Device files are written under OUTDIR and named by relative paths, so
+two checkouts give byte-identical files wherever their reports agree.
 
 ``--compare`` matches ``.err`` files byte for byte and every other file as a
 JSON or CSV report: the same structure, strings and booleans, and every number
@@ -30,6 +30,9 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
+
+# first: the command line pins BLAS to one thread before numpy loads
+from qhewalk.cli import main as qhewalk_main  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -189,8 +192,6 @@ def main(argv: list[str]) -> int:
         return 2
     outdir = Path(argv[0]).resolve()
     os.environ["QHE_THREADS"] = "1"
-    from qhewalk.cli import main as qhewalk_main
-
     write_haar_devices(outdir)
     os.chdir(outdir)
     for name, report in REPORTS:

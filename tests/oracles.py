@@ -11,7 +11,7 @@ from itertools import permutations
 import numpy as np
 import scipy.linalg
 
-from qhewalk.polarization import Polarization, projection_probability
+from qhewalk.polarization import Polarization, linear_ensemble, projection_probability
 
 
 def haar_unitary(m: int, rng) -> np.ndarray:
@@ -132,6 +132,20 @@ def jacobian_by_differences(fun, x) -> np.ndarray:
     h = np.finfo(float).eps ** (1.0 / 3.0) * np.maximum(1.0, np.abs(x))
     return np.column_stack([(fun(x + hj * e) - fun(x - hj * e)) / (2.0 * hj)
                             for hj, e in zip(h, np.eye(x.size))])
+
+
+def attack_by_rows(m: int, d: int, trials: int, random_source, chunk: int) -> float:
+    """The random-basis attack's win rate, drawn in chunks of `chunk` trials and
+    tallied row by row: a trial wins when all m of its uniforms fall below
+    cos^2 of its key angle. Each chunk draws its key indices, then its uniforms."""
+    angles = linear_ensemble(d).polar_angles()
+    wins = 0
+    for start in range(0, trials, chunk):
+        n = min(chunk, trials - start)
+        theta = angles[random_source.integers(0, d, size=n)]
+        match_prob = np.cos(theta) ** 2
+        wins += int(np.all(random_source.random((n, m)) < match_prob[:, None], axis=1).sum())
+    return wins / trials
 
 
 def total_variation(p: dict, q: dict) -> float:

@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhewalk.cli import main
+from qhewalk.cli import main, unitary_to_payload
 from qhewalk.reconstruct import synthesize_measurements
-from qhewalk.walk import unitary_to_payload
 from oracles import haar_unitary
 
 
@@ -362,6 +361,69 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# engine modules and heavy standard-library packages each subcommand may load
+WATCHED = ("concurrent.futures", "fractions")
+LOADS = {
+    "devices": {"cli", "numerics"},
+    "reconstruct": {"cli", "numerics", "reconstruct"},
+    "walk": {"cli", "numerics", "polarization", "walk", "concurrent.futures"},
+    "attack": {"cli", "numerics", "polarization", "security"},
+    "security": {"cli", "numerics", "polarization", "security"},
+}
+IMPORT_ARGV = {
+    "devices": ["devices"],
+    "reconstruct": ["reconstruct", "--device", "u1", "--counts", "1e5", "--seed", "1"],
+    "walk": ["walk", "--device", "u2", "--input", "0110", "--shots", "100"],
+    "attack": ["attack", "--m", "3", "--plaintext", "101", "--trials", "100"],
+    "security": ["security", "--m", "3", "--attack-trials", "100"],
+}
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The qhewalk submodules and WATCHED packages in sys.modules after running code."""
+    code += f"""
+print(*sorted(m.removeprefix("qhewalk.") for m in sys.modules
+              if m.startswith("qhewalk.") or m in {WATCHED!r}))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+@pytest.fixture(scope="module")
+def numpy_loads():
+    # a watched package numpy itself loads is no import of ours
+    return loaded_modules("import sys, numpy")
+
+
+@pytest.mark.parametrize("command", sorted(LOADS))
+def test_each_command_loads_only_its_engine(command, numpy_loads):
+    loaded = loaded_modules(f"""
+import contextlib, io, sys
+from qhewalk.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({IMPORT_ARGV[command]!r}) == 0
+""")
+    assert loaded - numpy_loads == LOADS[command] - numpy_loads
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count():
+    # the eigensolver's bits move with the BLAS thread count; the command line pins it to 1
+    for argv in (["security", "--m", "8", "--ensemble", "linear:180"],
+                 ["security", "--m", "8", "--ensemble", "poincare:64,64,64", "--explicit"]):
+        outputs = set()
+        for threads in (None, "1", "2"):
+            env = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run([sys.executable, "-m", "qhewalk", *argv],
+                                  capture_output=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, argv
 
 
 @pytest.mark.parametrize("blocked", [False, True])

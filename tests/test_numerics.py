@@ -6,9 +6,9 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from qhewalk.cli import unitary_from_payload
 from qhewalk.numerics import (ContractError, DimensionError, SingularMatrixError,
                               hermitian_eig, permanent, permanent_naive, unitarize)
-from qhewalk.walk import unitary_from_payload
 from oracles import haar_unitary, permanent_by_definition, polar_factor_by_eigh
 
 U1_PRINTED = np.array([

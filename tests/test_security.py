@@ -1,9 +1,11 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qhewalk import security
 from qhewalk.numerics import ContractError, DimensionError
 from qhewalk.security import (MAX_POLAR_GRID, KeyEnsemble, ResourceError, attack_asymptote,
                               attack_success, encrypted_density,
@@ -11,8 +13,8 @@ from qhewalk.security import (MAX_POLAR_GRID, KeyEnsemble, ResourceError, attack
                               holevo_poincare_limit, linear_ensemble,
                               parse_ensemble, poincare_ensemble, simulate_attack,
                               trace_distance, von_neumann_entropy)
-from oracles import (density_by_keys, ensemble_rotations, implied_mutual_information,
-                     qudit_hidden_info, symmetric_basis)
+from oracles import (attack_by_rows, density_by_keys, ensemble_rotations,
+                     implied_mutual_information, qudit_hidden_info, symmetric_basis)
 
 LINEAR_180 = linear_ensemble(180)
 POINCARE_64 = poincare_ensemble(64, 64, 64)
@@ -203,6 +205,14 @@ class TestAttack:
         for d in (5, 6, 12, 100, 100000):
             assert attack_success(4, d) == pytest.approx(35 / 128, abs=1e-15)
 
+    @pytest.mark.parametrize("m", [*range(1, 65), 3500])
+    def test_matches_fraction_of_binomials(self, m):
+        # half[l] = C(2m, m + l) = C(2m, m - l); the mean is one correctly rounded division
+        half = [math.comb(2 * m, m + l) for l in range(m + 1)]
+        for d in (1, 2, 3, 12, 10 ** 9):
+            num = half[0] + 2 * sum(half[d::d])
+            assert attack_success(m, d) == float(Fraction(num, 4 ** m))
+
     def test_d2_is_half_for_any_m(self):
         for m in (1, 3, 10, 200):
             assert attack_success(m, 2) == 0.5
@@ -244,6 +254,17 @@ class TestAttack:
         a = simulate_attack(4, 6, "0000", 50000, make_rng(1))
         b = simulate_attack(4, 6, "1011", 50000, make_rng(1))
         assert a == b  # same draws, same per-qubit match probabilities
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 16, 64, 600])
+    def test_packed_tally_matches_row_tally(self, m):
+        # m = 600 makes _ATTACK_DRAWS // m the chunk limit; trial counts straddle one chunk
+        chunk = max(1, min(security._ATTACK_TRIALS, security._ATTACK_DRAWS // m))
+        for seed, d in enumerate((1, 2, 5, 12)):
+            for trials in (chunk - 1, chunk, chunk + 1):
+                plaintext = "01" * (m // 2) + "1" * (m % 2)
+                rng = (seed, m, trials)
+                assert (simulate_attack(m, d, plaintext, trials, make_rng(rng))
+                        == attack_by_rows(m, d, trials, make_rng(rng), chunk))
 
     def test_simulation_memory_independent_of_m(self):
         # trials are chunked by uniforms drawn, so the paper's m = 3500 stays small

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
+from qhewalk.cli import DeviceFormatError, unitary_from_payload, unitary_to_payload
 from qhewalk.numerics import ContractError, DimensionError, permanent, unitarize
 from qhewalk.polarization import linear_ensemble, sample_haar_key
-from qhewalk.walk import (MAX_SHOTS, DeviceFormatError, NoiseModel,
-                          bhattacharyya_fidelity, classical_output_distribution,
-                          occupation_states, occupation_to_bits, output_distribution, postselect,
-                          protocol_distribution, run_protocol, unitary_from_payload,
-                          unitary_to_payload, walker_pattern)
+from qhewalk.walk import (MAX_SHOTS, NoiseModel, bhattacharyya_fidelity,
+                          classical_output_distribution, occupation_states, occupation_to_bits,
+                          output_distribution, postselect, protocol_distribution, run_protocol,
+                          walker_pattern)
 from oracles import (distinguishable_distribution, haar_unitary, polynomial_distribution,
                      total_variation)
 
