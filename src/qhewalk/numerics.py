@@ -1,4 +1,4 @@
-"""Complex linear algebra kernels: permanents, Hermitian eigensystems, polar projection.
+"""Complex linear algebra kernels: permanents, Hermitian spectra, polar projection.
 
 Everything downstream (walk statistics, entropies, trace distances, device
 re-unitarization) funnels through the routines in this module.
@@ -12,9 +12,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-RYSER_MAX_DIM = 24
-RYSER_BLOCK_COLS = 12
+RYSER_MAX_DIM = 16
 NAIVE_MAX_DIM = 8
+UNITARY_TOL = 1e-8     # max |U^dagger U - I| accepted as unitary
+HERMITIAN_TOL = 1e-10  # max |H - H^dagger| accepted as Hermitian
 
 
 class NumericsError(ValueError):
@@ -34,8 +35,7 @@ class SingularMatrixError(NumericsError):
 
 
 class HermitianEigen(NamedTuple):
-    eigenvalues: np.ndarray   # real, ascending
-    eigenvectors: np.ndarray  # unitary, columns are eigenvectors
+    eigenvalues: np.ndarray  # real, ascending
 
 
 def _as_square(matrix, name: str) -> np.ndarray:
@@ -59,41 +59,34 @@ def finite_number(value, field: str, error: type[ValueError]) -> float:
     raise error(f"{field} must be a finite number, got {value!r}")
 
 
-def require_unitary(U, tol: float = 1e-8) -> np.ndarray:
-    """U in its own real or complex dtype, after checking it is square, finite and unitary to tol."""
+def require_unitary(U) -> np.ndarray:
+    """U in its own real or complex dtype, after checking it is square, finite and unitary."""
     M = _as_square(U, "matrix")
     defect = float(np.max(np.abs(M.conj().T @ M - np.eye(M.shape[0]))))
-    if defect > tol:
-        raise ContractError(f"matrix is not unitary: max |U^t U - I| = {defect:.3e} > {tol:.1e}")
+    if defect > UNITARY_TOL:
+        raise ContractError(
+            f"matrix is not unitary: max |U^t U - I| = {defect:.3e} > {UNITARY_TOL:.1e}")
     return M
 
 
 def permanent(matrix) -> complex:
-    """Matrix permanent via the Ryser formula, summed over column subsets in bulk.
+    """Matrix permanent via the Ryser formula, summed over all column subsets at once.
 
     Per(A) = (-1)^n sum_S (-1)^|S| prod_i sum_{j in S} A[i, j]. The row sums of
-    every subset of the low RYSER_BLOCK_COLS columns come from one product with
-    a cached 0/1 selection matrix; a loop over the (at most 2^12) subsets of
-    the remaining columns adds their row sums, so memory stays bounded.
-    Cost is O(2^n * n); dimensions above RYSER_MAX_DIM are rejected.
+    every subset come from one product with a cached 0/1 selection matrix.
+    Cost is O(2^n * n^2) time and two 2^n x n complex arrays (16 MB each at
+    n = 16); dimensions above RYSER_MAX_DIM are rejected.
     """
     M = _as_square(matrix, "matrix")
     n = M.shape[0]
     if n > RYSER_MAX_DIM:
         raise DimensionError(f"permanent limited to n <= {RYSER_MAX_DIM}, got {n}")
-    if n == 0:
-        return complex(1.0)
-    low = min(n, RYSER_BLOCK_COLS)
-    select, signs = _subsets(low)
-    high_select, high_signs = _subsets(n - low)
-    low_sums = M[:, :low] @ select.T
-    total = 0j
-    for offset, sign in zip(high_select @ M[:, low:].T, high_signs):
-        total += sign * (np.prod(low_sums + offset[:, None], axis=0) @ signs)
+    select, signs = _subsets(n)
+    total = np.prod(M @ select.T, axis=0) @ signs
     return complex(total if (n & 1) == 0 else -total)
 
 
-@lru_cache(maxsize=RYSER_BLOCK_COLS + 1)
+@lru_cache(maxsize=RYSER_MAX_DIM + 1)
 def _subsets(k: int) -> tuple[np.ndarray, np.ndarray]:
     """0/1 matrix whose rows select every subset of k columns, and each subset's (-1)^|S|."""
     bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
@@ -118,18 +111,18 @@ def permanent_naive(matrix) -> complex:
     return complex(sum(np.prod([M[i, s[i]] for i in rows]) for s in permutations(rows)))
 
 
-def hermitian_eig(H, tol: float = 1e-10) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+def hermitian_eig(H) -> HermitianEigen:
+    """Spectrum of a Hermitian matrix, eigenvalues ascending.
 
-    Rejects inputs whose max elementwise asymmetry |H - H^dagger| exceeds tol.
+    Rejects inputs whose max elementwise asymmetry |H - H^dagger| exceeds HERMITIAN_TOL.
     """
     M = _as_square(H, "H")
     asym = float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
-    if asym > tol:
-        raise ContractError(f"matrix is not Hermitian: max asymmetry {asym:.3e} > {tol:.1e}")
+    if asym > HERMITIAN_TOL:
+        raise ContractError(
+            f"matrix is not Hermitian: max asymmetry {asym:.3e} > {HERMITIAN_TOL:.1e}")
     # symmetrize first so roundoff-scale asymmetry cannot leak into the solver
-    w, V = np.linalg.eigh((M + M.conj().T) / 2.0)
-    return HermitianEigen(w, V)
+    return HermitianEigen(np.linalg.eigvalsh((M + M.conj().T) / 2.0))
 
 
 def unitarize(M) -> np.ndarray:

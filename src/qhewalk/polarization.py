@@ -37,10 +37,6 @@ class Polarization:
         return np.array([self.amplitude_h, self.amplitude_v], dtype=complex)
 
 
-H = Polarization(1.0, 0.0)
-V = Polarization(0.0, 1.0)
-
-
 @dataclass(frozen=True)
 class PolarizationKey:
     """Euler-angle triple selecting the encryption rotation."""

@@ -20,6 +20,8 @@ from .numerics import ContractError, DimensionError, finite_number, require_unit
 
 MAX_MODES = 8
 _ZERO_COINCIDENCE = 1e-14
+# compare_to_truth skips the phase of true entries no larger than this
+PHASE_AMPLITUDE_FLOOR = 1e-6
 
 Pair = tuple[int, int]
 
@@ -419,11 +421,11 @@ def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
     )
 
 
-def compare_to_truth(candidate, truth, amplitude_floor: float = 1e-6):
+def compare_to_truth(candidate, truth):
     """Per-entry amplitude and phase errors between canonical forms.
 
     Phase errors are only evaluated where the true amplitude exceeds
-    amplitude_floor (the phase of a vanishing entry is meaningless).
+    PHASE_AMPLITUDE_FLOOR (the phase of a vanishing entry is meaningless).
     """
     C = canonical_form(candidate)
     T = canonical_form(truth)
@@ -431,6 +433,6 @@ def compare_to_truth(candidate, truth, amplitude_floor: float = 1e-6):
         raise DimensionError(f"shape mismatch: {C.shape} vs {T.shape}")
     amplitude_errors = np.abs(np.abs(C) - np.abs(T))
     phase_errors = np.zeros_like(amplitude_errors)
-    mask = np.abs(T) > amplitude_floor
+    mask = np.abs(T) > PHASE_AMPLITUDE_FLOOR
     phase_errors[mask] = np.abs(np.angle(C[mask] * np.conj(T[mask])))
     return amplitude_errors, phase_errors

@@ -27,6 +27,8 @@ from .polarization import (MAX_POLAR_GRID, KeyEnsemble, ResourceError, as_bits, 
                            linear_ensemble, parse_ensemble, poincare_ensemble, rotation_matrices)
 
 MAX_QUBITS = 8
+# a density's eigenvalues may dip this far below 0 and its trace stray this far from 1
+DENSITY_TOL = 1e-10
 # trials per attack chunk, at most; fixes the order of the draws
 _ATTACK_TRIALS = 65536
 # uniforms drawn per attack chunk (trials x m): 32 MB of float64
@@ -65,14 +67,13 @@ def encrypted_density(x, ensemble: KeyEnsemble) -> np.ndarray:
     return rho
 
 
-def von_neumann_entropy(rho: np.ndarray, tol: float = 1e-10) -> float:
+def von_neumann_entropy(rho: np.ndarray) -> float:
     """S(rho) = -Tr(rho log2 rho) in bits; roundoff-negative eigenvalues clamp to 0."""
-    eig = hermitian_eig(rho, tol=tol)
-    lam = eig.eigenvalues
-    if lam[0] < -tol:
+    lam = hermitian_eig(rho).eigenvalues
+    if lam[0] < -DENSITY_TOL:
         raise ContractError(f"matrix is not positive semidefinite: min eigenvalue {lam[0]:.3e}")
     trace = float(lam.sum())
-    if abs(trace - 1.0) > max(tol, 1e-10):
+    if abs(trace - 1.0) > DENSITY_TOL:
         raise ContractError(f"trace must be 1, got {trace!r}")
     lam = np.clip(lam, 0.0, None)
     lam = lam[lam > 0.0]
@@ -90,8 +91,6 @@ def holevo(m: int, ensemble: KeyEnsemble) -> float:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m > MAX_QUBITS:
-        raise ResourceError(f"m <= {MAX_QUBITS} supported")
     dim = 2 ** m
     mean = np.zeros((dim, dim))
     entropies = []
@@ -183,6 +182,5 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     b = np.asarray(sigma)
     if a.shape != b.shape:
         raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    eig = hermitian_eig(a - b)
-    return float(0.5 * np.abs(eig.eigenvalues).sum())
+    return float(0.5 * np.abs(hermitian_eig(a - b).eigenvalues).sum())
 

@@ -138,15 +138,11 @@ def protocol_distribution(U, plaintext, noise: NoiseModel = NoiseModel()) -> dic
     spurious-shot admixture. With no noise this is plain output_distribution
     of the walker pattern.
     """
-    bits = as_bits(plaintext)
-    M = require_unitary(U)
-    if len(bits) != M.shape[0]:
-        raise DimensionError(f"plaintext length {len(bits)} != mode count {M.shape[0]}")
-    source = walker_pattern(bits)
-    law = output_distribution(M, source)
+    source = walker_pattern(plaintext)
+    law = output_distribution(U, source)
     visibility = noise.hom_visibility
     if visibility < 1.0:
-        classical = classical_output_distribution(M, source)
+        classical = classical_output_distribution(U, source)
         law = {t: visibility * p + (1.0 - visibility) * classical[t] for t, p in law.items()}
     return _with_spurious(law, noise)
 

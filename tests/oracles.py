@@ -226,6 +226,8 @@ def implied_mutual_information(p: float, m: int) -> float:
     return out
 
 
+H = Polarization(1.0, 0.0)
+V = Polarization(0.0, 1.0)
 D = Polarization(1 / np.sqrt(2), 1 / np.sqrt(2))
 A = Polarization(1 / np.sqrt(2), -1 / np.sqrt(2))
 

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhewalk.polarization import (H, V, KeyRangeError, PlaintextError,
+from qhewalk.polarization import (KeyRangeError, PlaintextError,
                                   Polarization, PolarizationKey, as_bits, encrypt,
                                   linear_ensemble, poincare_ensemble,
                                   projection_probability, rotation_matrices, rotation_matrix,
                                   sample_haar_key)
-from oracles import A, D, euler_rotation_expm, measure_in_key_basis
+from oracles import A, D, H, V, euler_rotation_expm, measure_in_key_basis
 
 
 def test_rotation_matches_matrix_exponential():
