@@ -6,12 +6,10 @@ reconstruct (characterization round trip), devices (embedded interferometers).
 
 All output is machine-first JSON (``--csv`` gives flat tables for the walk and
 attack commands). Every report echoes its fully resolved configuration, and a
-given seed + configuration always produces byte-identical output. The
-QHE_THREADS environment variable caps sampling parallelism; it never changes
-results, so it is deliberately absent from the echoed configuration. Imported
-before numpy, this module pins BLAS to one thread, whatever the environment
-says. Each command imports the engine modules it uses when it runs, so a
-report loads no other numerical code.
+given seed + configuration always produces byte-identical output. No command
+starts a thread. Imported before numpy, this module pins BLAS to one thread,
+whatever the environment says. Each command imports the engine modules it
+uses when it runs, so a report loads no other numerical code.
 """
 from __future__ import annotations
 
@@ -45,21 +43,10 @@ MAX_PROJECTION_DISTANCE = 0.25
 
 
 def make_rng(seed: int) -> np.random.Generator:
-    """Single 64-bit seed -> counter-based generator; spawnable for batches."""
+    """Single seed -> counter-based generator; the one check of every command's --seed."""
+    if seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
-def thread_count() -> int:
-    raw = os.environ.get("QHE_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            n = 0
-        if n < 1:
-            raise ValueError(f"QHE_THREADS must be an integer >= 1, got {raw!r}")
-        return n
-    return max(1, min(4, os.cpu_count() or 1))
 
 
 @dataclass
@@ -220,8 +207,7 @@ def cmd_walk(args) -> int:
     with in_field("higher_order_rate"):
         noise = replace(noise, higher_order_rate=args.higher_order_rate)
 
-    result = run_protocol(device.unitary, bits, key, args.shots, rng,
-                          noise=noise, threads=thread_count())
+    result = run_protocol(device.unitary, bits, key, args.shots, rng, noise=noise)
 
     exact_occ = result.exact_occupations
     empirical_occ = result.empirical_occupations()
@@ -274,6 +260,8 @@ def cmd_attack(args) -> int:
 
     if args.m < 1:
         raise ValueError("m must be >= 1")
+    if args.trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = make_rng(args.seed)
     plaintext = None
     if not args.asymptote_only or args.plaintext is not None:

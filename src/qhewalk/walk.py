@@ -8,9 +8,7 @@ mode i to output mode j (column = input).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -19,8 +17,8 @@ from .numerics import ContractError, DimensionError, permanent, require_unitary
 from .polarization import PolarizationKey, as_bits, encrypt, projection_probability
 
 MAX_WALKERS = 6
-SHOT_BATCHES = 16
-# sampling holds under 200 MB at this bound with all SHOT_BATCHES in flight
+# the input contract on shots; it also keeps the count far inside numpy's int64
+# range, beyond which multinomial raises OverflowError
 MAX_SHOTS = 10 ** 7
 
 
@@ -179,22 +177,15 @@ class ProtocolResult:
         return postselect(self.occupation_counts)[0]
 
 
-def _sample_batch(cumulative, rng, shots):
-    """Draw `shots` outcome indices, one uniform each; returns counts per index."""
-    idx = np.searchsorted(cumulative, rng.random(shots), side="right")
-    return np.bincount(idx, minlength=len(cumulative))
-
-
 def run_protocol(U, plaintext, key: PolarizationKey, shots: int, random_source,
-                 noise: NoiseModel = NoiseModel(), threads: int = 1) -> ProtocolResult:
+                 noise: NoiseModel = NoiseModel()) -> ProtocolResult:
     """Run the encrypted walk end to end and tally the walker occupations.
 
-    Each shot draws a walker occupation from protocol_distribution, noise
-    included, which the result carries as exact_occupations. Dummy photons
-    cross the same device, but decryption discards their outcome, so they are
-    not sampled; postselect gives the receiver's bit-string view. Shots are
-    split over SHOT_BATCHES child random streams so results do not depend on
-    `threads`.
+    The shots' tally is one multinomial draw of protocol_distribution, noise
+    included, which the result carries as exact_occupations: a report prints
+    the counts per outcome, never the order of the shots. Dummy photons cross
+    the same device, but decryption discards their outcome, so they are not
+    sampled; postselect gives the receiver's bit-string view.
     """
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], got {shots}")
@@ -206,15 +197,7 @@ def run_protocol(U, plaintext, key: PolarizationKey, shots: int, random_source,
             raise ContractError("key failed to decrypt its own encryption")
 
     law = protocol_distribution(U, bits, noise)
-    cumulative = np.cumsum(list(law.values()))
-    cumulative[-1] = 1.0
-
-    batches = min(SHOT_BATCHES, shots)
-    sizes = [shots // batches + (1 if b < shots % batches else 0) for b in range(batches)]
-    streams = random_source.spawn(batches)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        batch_counts = list(pool.map(partial(_sample_batch, cumulative), streams, sizes))
-    totals = np.sum(batch_counts, axis=0)
+    totals = random_source.multinomial(shots, list(law.values()))
     counts = {occ: int(c) for occ, c in zip(law, totals) if c}
     return ProtocolResult(shots=shots, occupation_counts=counts, exact_occupations=law)
 

@@ -4,11 +4,11 @@
     python tests/golden_reports.py --compare A B
 
 Runs every argv in REPORTS in process against the ``qhewalk`` in this
-checkout's ``src/``, with QHE_THREADS=1 and one BLAS thread, and writes
-NAME.out (stdout, or the ``--out`` file for ``--csv`` reports) and, when the
-report fails or writes to stderr, NAME.err (exit code and stderr) into
-OUTDIR. Device files are written under OUTDIR and named by relative paths, so
-two checkouts give byte-identical files wherever their reports agree.
+checkout's ``src/``, on one BLAS thread, and writes NAME.out (stdout, or the
+``--out`` file for ``--csv`` reports) and, when the report fails or writes to
+stderr, NAME.err (exit code and stderr) into OUTDIR. Device files are written
+under OUTDIR and named by relative paths, so two checkouts give byte-identical
+files wherever their reports agree.
 
 ``--compare`` matches ``.err`` files byte for byte and every other file as a
 JSON or CSV report: the same structure, strings and booleans, and every number
@@ -191,7 +191,6 @@ def main(argv: list[str]) -> int:
         print("usage: python tests/golden_reports.py OUTDIR | --compare A B", file=sys.stderr)
         return 2
     outdir = Path(argv[0]).resolve()
-    os.environ["QHE_THREADS"] = "1"
     write_haar_devices(outdir)
     os.chdir(outdir)
     for name, report in REPORTS:

@@ -148,6 +148,16 @@ def attack_by_rows(m: int, d: int, trials: int, random_source, chunk: int) -> fl
     return wins / trials
 
 
+def counts_by_uniforms(law: dict, shots: int, random_source) -> dict:
+    """Tally of `shots` outcomes of `law`, one uniform each from one stream:
+    each uniform is located in the cumulative law. Zero counts are left out."""
+    cumulative = np.cumsum(list(law.values()))
+    cumulative[-1] = 1.0
+    idx = np.searchsorted(cumulative, random_source.random(shots), side="right")
+    totals = np.bincount(idx, minlength=len(law))
+    return {outcome: int(c) for outcome, c in zip(law, totals) if c}
+
+
 def total_variation(p: dict, q: dict) -> float:
     keys = set(p) | set(q)
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)

@@ -149,7 +149,12 @@ def test_rejections_name_the_field_or_file(tmp_path):
               (("reconstruct", "--device", "u1", "--counts", "0"), "counts:"),
               (("reconstruct", "--device", "u1", "--threshold", "nan"), "threshold:"),
               (("security", "--m", "9"), "m:"),
-              (("security", "--m", "2", "--attack-trials", "0"), "attack_trials:")]
+              (("security", "--m", "2", "--attack-trials", "0"), "attack_trials:"),
+              # no trial runs with --asymptote-only, but the count is still checked
+              (("attack", "--m", "4", "--asymptote-only", "--trials", "-3"), "trials must be >= 1")]
+    cases += [((*argv, "--seed", "-1"), "seed")
+              for argv in (walk, ("attack", "--m", "2"), ("security", "--m", "2"),
+                           ("reconstruct", "--device", "u1"))]
     for argv, field in cases:
         proc = run_cli(*argv)
         assert proc.returncode == 2, argv
@@ -333,17 +338,10 @@ class TestDeterminism:
             assert a.stdout == b.stdout, f"non-deterministic output for {argv}"
 
     def test_thread_count_never_changes_bytes(self):
+        # QHE_THREADS is no longer read: a value left in the environment changes nothing
         argv = ("walk", "--device", "u2", "--input", "1001", "--shots", "20000", "--seed", "2")
         outputs = {run_cli(*argv, threads=t).stdout for t in (1, 2, 8)}
         assert len(outputs) == 1
-
-    def test_thread_count_below_one_exits_2(self):
-        argv = ("walk", "--device", "u2", "--input", "1001", "--shots", "20")
-        for threads in (0, -4, "x"):
-            proc = run_cli(*argv, threads=threads)
-            assert proc.returncode == 2
-            assert "QHE_THREADS" in proc.stderr
-            assert "Traceback" not in proc.stderr
 
     def test_out_flag_writes_file(self, tmp_path):
         path = tmp_path / "report.json"
@@ -368,7 +366,7 @@ WATCHED = ("concurrent.futures", "fractions")
 LOADS = {
     "devices": {"cli", "numerics"},
     "reconstruct": {"cli", "numerics", "reconstruct"},
-    "walk": {"cli", "numerics", "polarization", "walk", "concurrent.futures"},
+    "walk": {"cli", "numerics", "polarization", "walk"},
     "attack": {"cli", "numerics", "polarization", "security"},
     "security": {"cli", "numerics", "polarization", "security"},
 }

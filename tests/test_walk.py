@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import chi2
+from scipy.stats import chi2, chi2_contingency
 
 from qhewalk.cli import DeviceFormatError, unitary_from_payload, unitary_to_payload
 from qhewalk.numerics import ContractError, DimensionError, permanent, unitarize
@@ -12,8 +12,8 @@ from qhewalk.walk import (MAX_SHOTS, NoiseModel, bhattacharyya_fidelity,
                           classical_output_distribution, occupation_states, occupation_to_bits,
                           output_distribution, postselect, protocol_distribution, run_protocol,
                           walker_pattern)
-from oracles import (distinguishable_distribution, haar_unitary, polynomial_distribution,
-                     total_variation)
+from oracles import (counts_by_uniforms, distinguishable_distribution, haar_unitary,
+                     polynomial_distribution, total_variation)
 
 U1_PRINTED = np.array([
     [0.74, 0.38, 0.39, 0.40],
@@ -251,27 +251,21 @@ class TestRunProtocol:
             if max(occ) <= 1}
         assert all(set(b) <= {"0", "1"} and len(b) == 4 for b in bitstrings)
 
-    def test_shot_split_is_thread_invariant(self):
-        a = run_protocol(U1, "0011", linear_ensemble(4).key(1), 4999, make_rng(11), threads=1)
-        b = run_protocol(U1, "0011", linear_ensemble(4).key(1), 4999, make_rng(11), threads=4)
-        assert a.occupation_counts == b.occupation_counts
-        assert postselect(a.occupation_counts) == postselect(b.occupation_counts)
-
     def test_result_carries_protocol_distribution(self):
         for noise in (NoiseModel(), NoiseModel(0.9, 0.01), NoiseModel(0.5, 0.0)):
             result = run_protocol(U1, "0100", linear_ensemble(1).key(0), 100, make_rng(2), noise=noise)
             assert result.exact_occupations == protocol_distribution(U1, "0100", noise)
 
     def test_pinned_counts_with_noise(self):
-        # recorded with one uniform per shot drawn against protocol_distribution,
-        # so spurious shots come from the printed law
+        # recorded from one multinomial draw of protocol_distribution, so spurious
+        # shots come from the printed law
         result = run_protocol(U1, "0101", linear_ensemble(1).key(0), 3000, make_rng(5),
                               noise=NoiseModel(0.9, 0.01))
         assert result.occupation_counts == {
-            (0, 0, 0, 2): 50, (0, 0, 1, 1): 251, (0, 0, 2, 0): 574, (0, 1, 0, 1): 100,
-            (0, 1, 1, 0): 234, (0, 2, 0, 0): 54, (1, 0, 0, 1): 236, (1, 0, 1, 0): 829,
-            (1, 1, 0, 0): 146, (2, 0, 0, 0): 526}
-        assert postselect(result.occupation_counts)[1] == 1204
+            (0, 0, 0, 2): 57, (0, 0, 1, 1): 246, (0, 0, 2, 0): 583, (0, 1, 0, 1): 91,
+            (0, 1, 1, 0): 235, (0, 2, 0, 0): 66, (1, 0, 0, 1): 224, (1, 0, 1, 0): 808,
+            (1, 1, 0, 0): 163, (2, 0, 0, 0): 527}
+        assert postselect(result.occupation_counts)[1] == 1233
 
     def test_noisy_shots_follow_protocol_distribution(self):
         # Pearson chi-square of 10^6 shots against the printed law; a correct
@@ -297,6 +291,25 @@ class TestRunProtocol:
         for shots in (0, MAX_SHOTS + 1):
             with pytest.raises(ValueError, match="shots"):
                 run_protocol(U1, "0111", linear_ensemble(1).key(0), shots, make_rng())
+        result = run_protocol(U1, "0111", linear_ensemble(1).key(0), MAX_SHOTS, make_rng())
+        assert sum(result.occupation_counts.values()) == MAX_SHOTS
+
+    @pytest.mark.parametrize("U, plaintext, noise", [
+        (U1, "1000", NoiseModel(0.5, 0.2)),
+        (haar_unitary(8, np.random.default_rng(8)), "01001000", NoiseModel(0.9, 0.01)),
+    ], ids=["u1-noisy", "haar8"])
+    def test_multinomial_tally_matches_one_uniform_per_shot(self, U, plaintext, noise):
+        # two-sample chi-square homogeneity of 10^6 shots from each route; a correct
+        # sampler fails with probability 1e-6
+        shots = 10 ** 6
+        result = run_protocol(U, plaintext, linear_ensemble(1).key(0), shots, make_rng(51),
+                              noise=noise)
+        law = result.exact_occupations
+        oracle = counts_by_uniforms(law, shots, make_rng(52))
+        # the spurious-shot admixture keeps every cell's expected count >= 5
+        assert min(law.values()) * shots >= 5
+        table = [[tally.get(t, 0) for t in law] for tally in (result.occupation_counts, oracle)]
+        assert chi2_contingency(table).pvalue >= 1e-6
 
 
 class TestPostselect:
