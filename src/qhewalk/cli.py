@@ -256,12 +256,12 @@ def cmd_walk(args) -> int:
 
 def cmd_attack(args) -> int:
     from .polarization import as_bits, linear_ensemble, parse_grid
-    from .security import attack_asymptote
+    from .security import attack_asymptote, require_trials
 
     if args.m < 1:
         raise ValueError("m must be >= 1")
-    if args.trials < 1:
-        raise ValueError("trials must be >= 1")
+    with in_field("trials"):
+        require_trials(args.trials)
     rng = make_rng(args.seed)
     plaintext = None
     if not args.asymptote_only or args.plaintext is not None:
@@ -327,10 +327,12 @@ def _hamming_trace_distances(m: int, ensemble, rho0) -> dict:
 def cmd_security(args) -> int:
     from .polarization import parse_ensemble
     from .security import (encrypted_density, hidden_bits_linear_asymptotic, holevo,
-                           holevo_poincare_limit, von_neumann_entropy)
+                           holevo_poincare_limit, require_trials, von_neumann_entropy)
 
     if args.m < 1:
         raise ValueError("m must be >= 1")
+    with in_field("attack_trials"):
+        require_trials(args.attack_trials)
     ensemble = parse_ensemble(args.ensemble)
     rng = make_rng(args.seed)
     m = args.m
@@ -368,8 +370,7 @@ def cmd_security(args) -> int:
     if args.explicit:
         report["holevo_explicit_bits"] = float(holevo(m, ensemble))
 
-    with in_field("attack_trials"):
-        report["attack_curve"] = _attack_curve(m, ATTACK_CURVE_D, "0" * m, args.attack_trials, rng)
+    report["attack_curve"] = _attack_curve(m, ATTACK_CURVE_D, "0" * m, args.attack_trials, rng)
 
     distances = _hamming_trace_distances(m, ensemble, rho0(ensemble.label))
     report["trace_distances"] = distances

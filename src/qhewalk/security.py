@@ -1,7 +1,7 @@
 """Adversary-side analysis of the encrypted walk.
 
-Everything here takes the eavesdropper's point of view: the mixed state he
-sees when the key is unknown, how many plaintext bits that state hides
+Everything here takes the eavesdropper's point of view: the mixed state they
+see when the key is unknown, how many plaintext bits that state hides
 (Holevo quantity), how well plaintexts can be told apart (trace distance),
 and the success probability of the measure-in-a-random-basis attack.
 
@@ -29,12 +29,8 @@ from .polarization import (MAX_POLAR_GRID, KeyEnsemble, ResourceError, as_bits, 
 MAX_QUBITS = 8
 # a density's eigenvalues may dip this far below 0 and its trace stray this far from 1
 DENSITY_TOL = 1e-10
-# trials per attack chunk, at most; fixes the order of the draws
-_ATTACK_TRIALS = 65536
-# uniforms drawn per attack chunk (trials x m): 32 MB of float64
-_ATTACK_DRAWS = 1 << 22
-# eight matched qubits as the bytes of one uint64 word
-_ALL_MATCH = 0x0101010101010101
+# the input contract on attack trials, far inside the int64 range of multinomial
+MAX_TRIALS = 10 ** 12
 
 
 def _popcount_mask(m: int, d1: int) -> np.ndarray:
@@ -143,37 +139,31 @@ def attack_asymptote(m) -> float:
     return 1.0 / math.sqrt(math.pi * m)
 
 
+def require_trials(trials: int) -> None:
+    """An attack's trial count lies in [1, MAX_TRIALS]."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be <= {MAX_TRIALS}, got {trials}")
+
+
 def simulate_attack(m: int, d: int, plaintext, trials: int, random_source) -> float:
     """Monte Carlo of the attack: measure every encrypted qubit in the {H, V} basis.
 
     Per trial a key is drawn from linear_ensemble(d); success means the full decoded
     bit-string equals the plaintext. For a linear key with angle theta each
     measured bit matches its plaintext bit with probability cos^2(theta),
-    whichever value the bit has, so one uniform draw decides each qubit.
-    Trials run in chunks of at most _ATTACK_DRAWS uniforms, drawn into one
-    reused buffer, so memory does not grow with m. A trial's per-qubit
-    matches are bytes padded with ones to whole 8-byte words, and it wins when
-    the AND of its words is _ALL_MATCH.
+    whichever value the bit has, so a trial on key k wins with probability
+    cos^2m(theta_k). The trials per key are one multinomial draw and each key's
+    wins one binomial draw: time and memory grow with neither m nor trials.
     """
     bits = as_bits(plaintext)
     if len(bits) != m:
         raise DimensionError(f"plaintext length {len(bits)} != m = {m}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    match_prob = np.cos(linear_ensemble(d).polar_angles()) ** 2  # per key
-    chunk = max(1, min(_ATTACK_TRIALS, _ATTACK_DRAWS // m, trials))
-    draws = np.empty((chunk, m))
-    # m match bytes per trial, then padding bytes that stay 1 up to a whole word
-    match = np.ones((chunk, -(-m // 8) * 8), dtype=bool)
-    wins = 0
-    for start in range(0, trials, chunk):
-        n = min(chunk, trials - start)
-        p = match_prob[random_source.integers(0, d, size=n)]
-        random_source.random(out=draws[:n])
-        np.less(draws[:n], p[:, None], out=match[:n, :m])
-        words = np.bitwise_and.reduce(match[:n].view(np.uint64), axis=1)
-        wins += int(np.count_nonzero(words == _ALL_MATCH))
-    return wins / trials
+    require_trials(trials)
+    win_prob = (np.cos(linear_ensemble(d).polar_angles()) ** 2) ** m  # per key
+    per_key = random_source.multinomial(trials, np.full(d, 1.0 / d))
+    return int(random_source.binomial(per_key, win_prob).sum()) / trials
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:

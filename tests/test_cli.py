@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from qhewalk.cli import main, unitary_to_payload
 from qhewalk.reconstruct import synthesize_measurements
+from qhewalk.security import MAX_TRIALS
 from oracles import haar_unitary
 
 
@@ -152,6 +153,11 @@ def test_rejections_name_the_field_or_file(tmp_path):
               (("security", "--m", "2", "--attack-trials", "0"), "attack_trials:"),
               # no trial runs with --asymptote-only, but the count is still checked
               (("attack", "--m", "4", "--asymptote-only", "--trials", "-3"), "trials must be >= 1")]
+    # above MAX_TRIALS, and far beyond numpy's int64 range
+    for trials in (str(MAX_TRIALS + 1), str(10 ** 19)):
+        cases += [(("attack", "--m", "1", "--d", "2", "--trials", trials), "trials:"),
+                  (("attack", "--m", "4", "--asymptote-only", "--trials", trials), "trials:"),
+                  (("security", "--m", "2", "--attack-trials", trials), "attack_trials:")]
     cases += [((*argv, "--seed", "-1"), "seed")
               for argv in (walk, ("attack", "--m", "2"), ("security", "--m", "2"),
                            ("reconstruct", "--device", "u1"))]

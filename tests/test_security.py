@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -255,32 +256,42 @@ class TestAttack:
         b = simulate_attack(4, 6, "1011", 50000, make_rng(1))
         assert a == b  # same draws, same per-qubit match probabilities
 
-    @pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 16, 64, 600])
-    def test_packed_tally_matches_row_tally(self, m):
-        # m = 600 makes _ATTACK_DRAWS // m the chunk limit; trial counts straddle one chunk
-        chunk = max(1, min(security._ATTACK_TRIALS, security._ATTACK_DRAWS // m))
-        for seed, d in enumerate((1, 2, 5, 12)):
-            for trials in (chunk - 1, chunk, chunk + 1):
-                plaintext = "01" * (m // 2) + "1" * (m % 2)
-                rng = (seed, m, trials)
-                assert (simulate_attack(m, d, plaintext, trials, make_rng(rng))
-                        == attack_by_rows(m, d, trials, make_rng(rng), chunk))
+    @pytest.mark.parametrize("m, d", [(1, 2), (2, 5), (4, 6), (7, 12), (64, 2), (600, 12)])
+    def test_counts_tally_matches_row_tally(self, m, d):
+        # the per-key binomial counts against the per-qubit uniforms of the oracle,
+        # each on its own stream: two rates of one law, within 4 two-sample sigma
+        trials = 20000
+        plaintext = "01" * (m // 2) + "1" * (m % 2)
+        counts = simulate_attack(m, d, plaintext, trials, make_rng((1, m, d)))
+        rows = attack_by_rows(m, d, trials, make_rng((2, m, d)), trials)
+        p = attack_success(m, d)
+        band = 4 * math.sqrt(2 * p * (1 - p) / trials)
+        assert abs(counts - rows) <= band
+        if m in (2, 4):
+            # an off-by-one exponent would fall outside the band
+            assert abs(attack_success(m - 1, d) - rows) > band
 
     def test_simulation_memory_independent_of_m(self):
-        # trials are chunked by uniforms drawn, so the paper's m = 3500 stays small
+        # the tally is d counts: memory depends on neither m nor trials
         tracemalloc.start()
         try:
             simulate_attack(3500, 12, "0" * 3500, 20000, make_rng(1))
+            start = time.perf_counter()
+            simulate_attack(3500, 12, "0" * 3500, security.MAX_TRIALS, make_rng(1))
+            elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
+        assert elapsed < 1.0  # no per-trial cost
 
     def test_simulation_validation(self):
         with pytest.raises(DimensionError):
             simulate_attack(4, 2, "011", 10, make_rng())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
             simulate_attack(4, 2, "0110", 0, make_rng())
+        with pytest.raises(ValueError, match="trials must be <="):
+            simulate_attack(4, 2, "0110", security.MAX_TRIALS + 1, make_rng())
 
     def test_holevo_dominates_implied_information(self):
         for d in (2, 3, 4, 6, 12):
