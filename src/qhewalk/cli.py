@@ -306,8 +306,9 @@ def _attack_curve(m: int, ds, plaintext, trials: int, rng) -> list[dict]:
 
     curve = []
     for d in ds:
+        exact = attack_success(m, d)  # too large an m stops here, before any draw
         empirical = simulate_attack(m, d, plaintext, trials, rng)
-        curve.append({"d": d, "p_exact": float(attack_success(m, d)),
+        curve.append({"d": d, "p_exact": float(exact),
                       "p_empirical": float(empirical),
                       "stderr": float(np.sqrt(empirical * (1.0 - empirical) / trials))})
     return curve

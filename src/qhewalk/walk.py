@@ -3,7 +3,9 @@
 The path unitary acts on spatial modes only and is polarization independent,
 so walker (|H>) and dummy (|V>) photons evolve through the same U without
 interfering with each other. Convention: U[j, i] is the amplitude from input
-mode i to output mode j (column = input).
+mode i to output mode j (column = input). The bosonic law takes one permanent
+per output state; the distinguishable-photon law, blended in below unit
+visibility, takes none.
 """
 from __future__ import annotations
 
@@ -69,14 +71,11 @@ def occupation_states(m: int, n: int) -> list[tuple[int, ...]]:
     return states
 
 
-def _distribution(U, input_occupation, interference: bool) -> dict[tuple[int, ...], float]:
-    """Transition law P(source -> T) over all n-photon output multisets.
+def _exact_law(U, input_occupation, weights) -> dict[tuple[int, ...], float]:
+    """Transition law P(source -> T) over all n-photon output multisets T.
 
-    interference=True gives the bosonic law |Per(U_ST)|^2/(s! t!); False gives
-    the distinguishable-photon law Per(|U_ST|^2)/t!. Photons sharing a source
-    mode are labelled apart in the classical law, so its s! repeated column
-    orderings are distinct histories and are not divided out. The source
-    columns are selected once; each U_ST is a row selection of them.
+    Both laws share these checks; weights(U, source, states) gives each
+    state's unnormalized probability, in order.
     """
     source = as_occupation(input_occupation)
     U = require_unitary(U)
@@ -86,33 +85,57 @@ def _distribution(U, input_occupation, interference: bool) -> dict[tuple[int, ..
     n = sum(source)
     if n > MAX_WALKERS:
         raise ContractError(f"at most {MAX_WALKERS} photons supported, got {n}")
-    modes = np.arange(m)
-    columns = U[:, np.repeat(modes, source)]
-    if not interference:
-        columns = np.abs(columns) ** 2
-    s_fact = math.prod(math.factorial(c) for c in source)
-    probs = {}
-    for target in occupation_states(m, n):
-        sub = columns[np.repeat(modes, target)]
-        if interference:
-            p = abs(permanent(sub)) ** 2 / s_fact
-        else:
-            p = permanent(sub).real
-        probs[target] = p / math.prod(math.factorial(c) for c in target)
-    total = sum(probs.values())
+    states = occupation_states(m, n)
+    probs = weights(U, source, states)
+    total = sum(probs)
     if abs(total - 1.0) > 1e-9:
         raise ContractError(f"transition law failed to normalize: sum = {total!r}")
-    return {t: p / total for t, p in probs.items()}
+    return {t: p / total for t, p in zip(states, probs, strict=True)}
+
+
+def _bosonic_weights(U, source, states) -> list[float]:
+    """|Per(U_ST)|^2/(s! t!) per target; each U_ST is a row selection of the source columns."""
+    modes = np.arange(len(source))
+    columns = U[:, np.repeat(modes, source)]
+    s_fact = math.prod(math.factorial(c) for c in source)
+    return [abs(permanent(columns[np.repeat(modes, t)])) ** 2 / s_fact
+            / math.prod(math.factorial(c) for c in t) for t in states]
+
+
+def _distinguishable_weights(U, source, states) -> list[float]:
+    """Coefficients of x^T in prod_photons (sum_j |U_ji|^2 x_j), one photon at a time.
+
+    Each step adds one source photon to every k-photon occupation in every
+    output mode and merges equal occupations (rows compared as bytes, so any
+    mode count works). The last step yields every state: np.unique sorts them
+    ascending, and states, in occupation_states order, is the descending
+    lexicographic order.
+    """
+    m = len(source)
+    weights = np.abs(U) ** 2
+    step = np.eye(m, dtype=np.uint8)
+    occupations = np.zeros((1, m), dtype=np.uint8)
+    probs = np.ones(1)
+    for i in np.repeat(np.arange(m), source):
+        landed = (occupations[:, None, :] + step).reshape(-1, m)
+        keys, where = np.unique(landed.view(np.dtype((np.void, m))).ravel(), return_inverse=True)
+        probs = np.bincount(where, weights=(probs[:, None] * weights[:, i]).ravel())
+        occupations = keys.view(np.uint8).reshape(-1, m)
+    return probs[::-1].tolist()
 
 
 def output_distribution(U, input_occupation) -> dict[tuple[int, ...], float]:
     """Exact bosonic output distribution of n indistinguishable walkers."""
-    return _distribution(U, input_occupation, interference=True)
+    return _exact_law(U, input_occupation, _bosonic_weights)
 
 
 def classical_output_distribution(U, input_occupation) -> dict[tuple[int, ...], float]:
-    """Output distribution for fully distinguishable photons (no interference)."""
-    return _distribution(U, input_occupation, interference=False)
+    """Output distribution for fully distinguishable photons (no interference).
+
+    Photons land independently, so no permanent is needed; photons sharing a
+    source mode are labelled apart, their orderings being distinct histories.
+    """
+    return _exact_law(U, input_occupation, _distinguishable_weights)
 
 
 def _with_spurious(law: dict, noise: NoiseModel) -> dict[tuple[int, ...], float]:

@@ -196,6 +196,18 @@ def density_by_keys(x: str, rotations: np.ndarray) -> np.ndarray:
     return psi.T @ psi.conj() / n
 
 
+def holevo_by_definition(m: int, ensemble) -> float:
+    """S(mean_x rho_x) - mean_x S(rho_x) over all 2^m plaintexts, each density from every key."""
+    def entropy(rho):
+        lam = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+        lam = lam[lam > 0.0]
+        return float(-(lam * np.log2(lam)).sum())
+
+    rotations = ensemble_rotations(ensemble)
+    densities = [density_by_keys(format(idx, f"0{m}b"), rotations) for idx in range(2 ** m)]
+    return entropy(sum(densities) / 2 ** m) - float(np.mean([entropy(rho) for rho in densities]))
+
+
 def symmetric_basis(m: int) -> np.ndarray:
     """Rows are the m+1 symmetrized basis states |a_V>, ordered by V-count a.
 

@@ -151,6 +151,8 @@ def test_rejections_name_the_field_or_file(tmp_path):
               (("reconstruct", "--device", "u1", "--threshold", "nan"), "threshold:"),
               (("security", "--m", "9"), "m:"),
               (("security", "--m", "2", "--attack-trials", "0"), "attack_trials:"),
+              # above MAX_ATTACK_QUBITS, checked before the first draw
+              (("attack", "--m", "10001"), "m must be <= 10000"),
               # no trial runs with --asymptote-only, but the count is still checked
               (("attack", "--m", "4", "--asymptote-only", "--trials", "-3"), "trials must be >= 1")]
     # above MAX_TRIALS, and far beyond numpy's int64 range
@@ -187,6 +189,9 @@ class TestAttackCommand:
         assert report["p_asymptote"] == pytest.approx(0.009536544540177922, abs=1e-15)
         assert report["curve"] == []
         assert report["config"]["plaintext"] is None
+        # the exact sum's m bound does not apply: only the closed form runs
+        report = run_json("attack", "--m", "1000000", "--asymptote-only")
+        assert report["p_asymptote"] == pytest.approx(1 / math.sqrt(math.pi * 1e6), rel=1e-15)
 
     def test_csv_output(self):
         proc = run_cli("attack", "--m", "2", "--d", "2,4", "--trials", "100", "--csv")

@@ -14,7 +14,7 @@ from qhewalk.security import (MAX_POLAR_GRID, KeyEnsemble, ResourceError, attack
                               holevo_poincare_limit, linear_ensemble,
                               parse_ensemble, poincare_ensemble, simulate_attack,
                               trace_distance, von_neumann_entropy)
-from oracles import (attack_by_rows, density_by_keys, ensemble_rotations,
+from oracles import (attack_by_rows, density_by_keys, ensemble_rotations, holevo_by_definition,
                      implied_mutual_information, qudit_hidden_info, symmetric_basis)
 
 LINEAR_180 = linear_ensemble(180)
@@ -162,6 +162,13 @@ class TestHolevo:
             sx = von_neumann_entropy(encrypted_density(x, ens))
             assert sx == pytest.approx(s0, abs=1e-8)
 
+    @pytest.mark.parametrize("label", ["linear:12", "poincare:5,9,3", "poincare:2,17,1"])
+    def test_weight_classes_match_definition(self, label):
+        # m + 1 weight classes against all 2^m densities built key by key
+        ens = parse_ensemble(label)
+        for m in range(1, 6):
+            assert abs(holevo(m, ens) - holevo_by_definition(m, ens)) <= 1e-13, m
+
     def test_m_cap(self):
         with pytest.raises(ResourceError):
             holevo(9, linear_ensemble(4))
@@ -233,6 +240,16 @@ class TestAttack:
         for d in (2, 5, 12, 64):
             vals = [attack_success(m, d) for m in range(1, 17)]
             assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
+
+    def test_exact_sum_bound(self):
+        # O(m^2) work, longest at d = 2 (every term): the bound stays well under a second
+        m = security.MAX_ATTACK_QUBITS
+        start = time.perf_counter()
+        assert attack_success(m, 2) == 0.5
+        assert time.perf_counter() - start < 1.0
+        assert attack_success(m, 10 ** 9) == pytest.approx(attack_asymptote(m), rel=2e-5)
+        with pytest.raises(ValueError, match="m must be <= 10000"):
+            attack_success(m + 1, 2)
 
     def test_asymptote(self):
         assert attack_asymptote(4) == pytest.approx(0.2821, abs=1e-4)

@@ -151,15 +151,40 @@ def per_target_law(U, source, interference):
     return {t: p / total for t, p in probs.items()}
 
 
+ROUTE_SOURCES = [(1, 0), (1, 1), (2, 0), (0, 1, 2), (1, 1, 1), (3, 0, 0),
+                 (1, 0, 2, 1), (0, 4, 0, 0), (1, 1, 1, 1, 1, 0), (2, 2, 0, 1, 0, 1),
+                 (0, 0, 0, 6, 0, 0, 0), (1, 0, 1, 1, 0, 1, 1, 1), (2, 0, 0, 1, 0, 3, 0, 0)]
+# plus six bunched photons at m = 8, and 41 modes, where base-3 integer codes overflow int64
+CONVOLUTION_SOURCES = [*ROUTE_SOURCES, (0, 0, 0, 0, 0, 0, 0, 6), (1, 1) + (0,) * 39]
+
+
 def test_column_selection_matches_per_target_route_bitwise():
     rng = np.random.default_rng(88)
-    sources = [(1, 0), (1, 1), (2, 0), (0, 1, 2), (1, 1, 1), (3, 0, 0),
-               (1, 0, 2, 1), (0, 4, 0, 0), (1, 1, 1, 1, 1, 0), (2, 2, 0, 1, 0, 1),
-               (0, 0, 0, 6, 0, 0, 0), (1, 0, 1, 1, 0, 1, 1, 1), (2, 0, 0, 1, 0, 3, 0, 0)]
-    for source in sources:
+    for source in ROUTE_SOURCES:
         U = haar_unitary(len(source), rng)
         assert output_distribution(U, source) == per_target_law(U, source, True), source
-        assert classical_output_distribution(U, source) == per_target_law(U, source, False), source
+
+
+def test_convolution_matches_permanent_route():
+    # the photon-by-photon convolution against Per(|U_ST|^2)/t!, a different
+    # summation order: a few ulp apart, and keyed in occupation_states order
+    rng = np.random.default_rng(88)
+    for source in CONVOLUTION_SOURCES:
+        U = haar_unitary(len(source), rng)
+        law = classical_output_distribution(U, source)
+        ref = per_target_law(U, source, False)
+        assert list(law) == list(ref) == occupation_states(len(source), sum(source)), source
+        assert max(abs(law[t] - ref[t]) for t in ref) <= 4e-15, source
+
+
+def test_distinguishable_mean_occupation_is_sum_of_column_weights():
+    # photons land independently: <t_j> = sum_i s_i |U_ji|^2
+    rng = np.random.default_rng(89)
+    for source in CONVOLUTION_SOURCES:
+        U = haar_unitary(len(source), rng)
+        law = classical_output_distribution(U, source)
+        mean = sum(p * np.array(t) for t, p in law.items())
+        assert np.max(np.abs(mean - np.abs(U) ** 2 @ np.array(source))) <= 1e-13, source
 
 
 class TestClassicalAndNoise:
