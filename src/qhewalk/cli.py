@@ -75,10 +75,6 @@ def read_json(path):
         raise ValueError(f"{path}: not a JSON file ({exc})") from None
 
 
-class DeviceFormatError(ValueError):
-    """Device JSON payload is malformed."""
-
-
 def unitary_to_payload(U) -> dict:
     """Serialize a mode unitary to the device-file JSON structure."""
     M = np.asarray(U, dtype=complex)
@@ -91,22 +87,22 @@ def unitary_to_payload(U) -> dict:
 def unitary_from_payload(payload) -> np.ndarray:
     """Parse and validate the device-file JSON structure (row = output mode)."""
     if not isinstance(payload, dict) or "m" not in payload or "unitary" not in payload:
-        raise DeviceFormatError("device payload must be an object with 'm' and 'unitary'")
+        raise ValueError("device payload must be an object with 'm' and 'unitary'")
     m = payload["m"]
     rows = payload["unitary"]
     if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise DeviceFormatError(f"'m' must be a positive integer, got {m!r}")
+        raise ValueError(f"'m' must be a positive integer, got {m!r}")
     if not isinstance(rows, list) or len(rows) != m:
-        raise DeviceFormatError(f"'unitary' must be a list of {m} rows")
+        raise ValueError(f"'unitary' must be a list of {m} rows")
     out = np.zeros((m, m), dtype=complex)
     for j, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != m:
-            raise DeviceFormatError(f"row {j} must have {m} entries")
+            raise ValueError(f"row {j} must have {m} entries")
         for i, cell in enumerate(row):
             field = f"'unitary' entry ({j},{i})"
             if not isinstance(cell, list) or len(cell) != 2:
-                raise DeviceFormatError(f"{field} must be [re, im] numbers")
-            out[j, i] = complex(*(finite_number(v, field, DeviceFormatError) for v in cell))
+                raise ValueError(f"{field} must be [re, im] numbers")
+            out[j, i] = complex(*(finite_number(v, field) for v in cell))
     return out
 
 
@@ -193,7 +189,7 @@ def _csv_text(header, rows) -> str:
 
 def cmd_walk(args) -> int:
     from .polarization import as_bits
-    from .walk import NoiseModel, bhattacharyya_fidelity, postselect, run_protocol
+    from .walk import NoiseModel, bhattacharyya_fidelity, postselect, require_law_size, run_protocol
 
     rng = make_rng(args.seed)
     device = load_device(args.device)
@@ -201,6 +197,7 @@ def cmd_walk(args) -> int:
         bits = as_bits(args.input)
         if len(bits) != device.m:
             raise ValueError(f"plaintext length {len(bits)} != mode count {device.m}")
+        require_law_size(device.m, bits.count(0))  # one walker per 0 bit
     key, key_echo = parse_key_spec(args.key, rng)
     with in_field("visibility"):
         noise = NoiseModel(args.visibility)
@@ -256,10 +253,16 @@ def cmd_walk(args) -> int:
 
 def cmd_attack(args) -> int:
     from .polarization import as_bits, linear_ensemble, parse_grid
-    from .security import attack_asymptote, require_trials
+    from .security import attack_asymptote, require_attack_qubits, require_trials
 
     if args.m < 1:
         raise ValueError("m must be >= 1")
+    ds: list[int] = []
+    if not args.asymptote_only:
+        require_attack_qubits(args.m)  # before the m-bit plaintext is built
+        with in_field("d"):
+            # every key set is checked before the first trial is drawn
+            ds = [linear_ensemble(d).polar_size for d in parse_grid(args.d)]
     with in_field("trials"):
         require_trials(args.trials)
     rng = make_rng(args.seed)
@@ -268,12 +271,6 @@ def cmd_attack(args) -> int:
         plaintext = args.plaintext if args.plaintext is not None else "0" * args.m
         if len(as_bits(plaintext)) != args.m:
             raise ValueError(f"plaintext length {len(plaintext)} does not match m = {args.m}")
-
-    ds: list[int] = []
-    if not args.asymptote_only:
-        with in_field("d"):
-            # every key set is checked before the first trial is drawn
-            ds = [linear_ensemble(d).polar_size for d in parse_grid(args.d)]
 
     curve = [dict(row, trials=int(args.trials))
              for row in _attack_curve(args.m, ds, plaintext, args.trials, rng)]
@@ -306,7 +303,7 @@ def _attack_curve(m: int, ds, plaintext, trials: int, rng) -> list[dict]:
 
     curve = []
     for d in ds:
-        exact = attack_success(m, d)  # too large an m stops here, before any draw
+        exact = attack_success(m, d)
         empirical = simulate_attack(m, d, plaintext, trials, rng)
         curve.append({"d": d, "p_exact": float(exact),
                       "p_empirical": float(empirical),
@@ -328,10 +325,11 @@ def _hamming_trace_distances(m: int, ensemble, rho0) -> dict:
 def cmd_security(args) -> int:
     from .polarization import parse_ensemble
     from .security import (encrypted_density, hidden_bits_linear_asymptotic, holevo,
-                           holevo_poincare_limit, require_trials, von_neumann_entropy)
+                           holevo_poincare_limit, require_qubits, require_trials,
+                           von_neumann_entropy)
 
-    if args.m < 1:
-        raise ValueError("m must be >= 1")
+    with in_field("m"):
+        require_qubits(args.m)  # before the m-bit plaintext is built
     with in_field("attack_trials"):
         require_trials(args.attack_trials)
     ensemble = parse_ensemble(args.ensemble)
@@ -347,8 +345,6 @@ def cmd_security(args) -> int:
     def entropy(label):
         return von_neumann_entropy(rho0(label))
 
-    with in_field("m"):
-        rho0(ensemble.label)  # the first 2^m density: too large an m stops here
     report = {
         "command": "security",
         "config": {

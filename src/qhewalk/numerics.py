@@ -18,22 +18,6 @@ UNITARY_TOL = 1e-8     # max |U^dagger U - I| accepted as unitary
 HERMITIAN_TOL = 1e-10  # max |H - H^dagger| accepted as Hermitian
 
 
-class NumericsError(ValueError):
-    """Base class for numeric contract violations."""
-
-
-class DimensionError(NumericsError):
-    """Input has the wrong shape for the requested operation."""
-
-
-class ContractError(NumericsError):
-    """Input violates a stated precondition (non-finite, non-Hermitian, ...)."""
-
-
-class SingularMatrixError(NumericsError):
-    """Matrix is singular where an invertible one is required."""
-
-
 class HermitianEigen(NamedTuple):
     eigenvalues: np.ndarray  # real, ascending
 
@@ -41,14 +25,14 @@ class HermitianEigen(NamedTuple):
 def _as_square(matrix, name: str) -> np.ndarray:
     M = np.asarray(matrix, dtype=complex if np.iscomplexobj(matrix) else float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionError(f"{name} must be a square matrix, got shape {M.shape}")
+        raise ValueError(f"{name} must be a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
-        raise ContractError(f"{name} contains non-finite entries")
+        raise ValueError(f"{name} contains non-finite entries")
     return M
 
 
-def finite_number(value, field: str, error: type[ValueError]) -> float:
-    """value as a float if it is a finite int or float (not a bool); else raise error(field)."""
+def finite_number(value, field: str) -> float:
+    """value as a float if it is a finite int or float (not a bool); else a ValueError naming field."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             number = float(value)
@@ -56,7 +40,7 @@ def finite_number(value, field: str, error: type[ValueError]) -> float:
             number = math.inf
         if math.isfinite(number):
             return number
-    raise error(f"{field} must be a finite number, got {value!r}")
+    raise ValueError(f"{field} must be a finite number, got {value!r}")
 
 
 def require_unitary(U) -> np.ndarray:
@@ -64,7 +48,7 @@ def require_unitary(U) -> np.ndarray:
     M = _as_square(U, "matrix")
     defect = float(np.max(np.abs(M.conj().T @ M - np.eye(M.shape[0]))))
     if defect > UNITARY_TOL:
-        raise ContractError(
+        raise ValueError(
             f"matrix is not unitary: max |U^t U - I| = {defect:.3e} > {UNITARY_TOL:.1e}")
     return M
 
@@ -80,7 +64,7 @@ def permanent(matrix) -> complex:
     M = _as_square(matrix, "matrix")
     n = M.shape[0]
     if n > RYSER_MAX_DIM:
-        raise DimensionError(f"permanent limited to n <= {RYSER_MAX_DIM}, got {n}")
+        raise ValueError(f"permanent limited to n <= {RYSER_MAX_DIM}, got {n}")
     select, signs = _subsets(n)
     total = np.prod(M @ select.T, axis=0) @ signs
     return complex(total if (n & 1) == 0 else -total)
@@ -104,7 +88,7 @@ def permanent_naive(matrix) -> complex:
     M = _as_square(matrix, "matrix")
     n = M.shape[0]
     if n > NAIVE_MAX_DIM:
-        raise DimensionError(f"naive permanent limited to n <= {NAIVE_MAX_DIM}, got {n}")
+        raise ValueError(f"naive permanent limited to n <= {NAIVE_MAX_DIM}, got {n}")
     if n == 0:
         return complex(1.0)
     rows = range(n)
@@ -119,7 +103,7 @@ def hermitian_eig(H) -> HermitianEigen:
     M = _as_square(H, "H")
     asym = float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
     if asym > HERMITIAN_TOL:
-        raise ContractError(
+        raise ValueError(
             f"matrix is not Hermitian: max asymmetry {asym:.3e} > {HERMITIAN_TOL:.1e}")
     # symmetrize first so roundoff-scale asymmetry cannot leak into the solver
     return HermitianEigen(np.linalg.eigvalsh((M + M.conj().T) / 2.0))
@@ -136,5 +120,5 @@ def unitarize(M) -> np.ndarray:
         return A.copy()
     W, s, Vh = np.linalg.svd(A)
     if s[-1] ** 2 <= 1e-13 * s[0] ** 2:
-        raise SingularMatrixError("matrix is singular or numerically rank-deficient")
+        raise ValueError("matrix is singular or numerically rank-deficient")
     return W @ Vh

@@ -12,14 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class KeyRangeError(ValueError):
-    """Key parameters outside their documented ranges."""
-
-
-class PlaintextError(ValueError):
-    """Malformed plaintext bit-string."""
-
-
 @dataclass(frozen=True)
 class Polarization:
     """Pure polarization state (Jones vector) in the {|H>, |V>} basis."""
@@ -47,25 +39,25 @@ class PolarizationKey:
 
     def __post_init__(self):
         if not (0.0 <= self.alpha < 2 * np.pi):
-            raise KeyRangeError(f"alpha must lie in [0, 2*pi), got {self.alpha}")
+            raise ValueError(f"alpha must lie in [0, 2*pi), got {self.alpha}")
         if not (0.0 <= self.gamma < 2 * np.pi):
-            raise KeyRangeError(f"gamma must lie in [0, 2*pi), got {self.gamma}")
+            raise ValueError(f"gamma must lie in [0, 2*pi), got {self.gamma}")
         if not (0.0 <= self.beta <= np.pi):
-            raise KeyRangeError(f"beta must lie in [0, pi], got {self.beta}")
+            raise ValueError(f"beta must lie in [0, pi], got {self.beta}")
 
 
 def as_bits(plaintext) -> tuple[int, ...]:
     """Normalize a plaintext ('0111', [0,1,1,1], ...) to a tuple of bits."""
     if isinstance(plaintext, str):
         if not plaintext or any(c not in "01" for c in plaintext):
-            raise PlaintextError(f"plaintext string must be nonempty over {{0,1}}: {plaintext!r}")
+            raise ValueError(f"plaintext string must be nonempty over {{0,1}}: {plaintext!r}")
         return tuple(int(c) for c in plaintext)
     try:
         bits = tuple(int(b) for b in plaintext)
     except (TypeError, ValueError):
-        raise PlaintextError(f"plaintext bits must be a nonempty 0/1 sequence: {plaintext!r}") from None
+        raise ValueError(f"plaintext bits must be a nonempty 0/1 sequence: {plaintext!r}") from None
     if not bits or any(b not in (0, 1) for b in bits):
-        raise PlaintextError(f"plaintext bits must be a nonempty 0/1 sequence: {plaintext!r}")
+        raise ValueError(f"plaintext bits must be a nonempty 0/1 sequence: {plaintext!r}")
     return bits
 
 
@@ -94,10 +86,6 @@ def rotation_matrix(key: PolarizationKey) -> np.ndarray:
 MAX_POLAR_GRID = 65536
 
 
-class ResourceError(ValueError):
-    """Requested computation exceeds the supported problem size."""
-
-
 @dataclass(frozen=True)
 class KeyEnsemble:
     """Discrete key set: the sender draws from it, the adversary averages over it.
@@ -119,10 +107,10 @@ class KeyEnsemble:
         if len(self.dims) != want:
             raise ValueError(f"{self.kind} ensemble takes {want} grid size(s), got {self.dims}")
         if any(int(d) != d or d < 1 for d in self.dims):
-            raise KeyRangeError(f"ensemble grid sizes must be integers >= 1, got {self.dims}")
+            raise ValueError(f"ensemble grid sizes must be integers >= 1, got {self.dims}")
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         if self.polar_size > MAX_POLAR_GRID:
-            raise ResourceError(f"ensemble {self.label} has a polar grid of {self.polar_size} "
+            raise ValueError(f"ensemble {self.label} has a polar grid of {self.polar_size} "
                                 f"angles; at most {MAX_POLAR_GRID} supported")
 
     @property
@@ -153,7 +141,7 @@ class KeyEnsemble:
         beta stays inside [0, pi]; a quarter turn is beta = pi, not 2*theta +- ulp.
         """
         if len(index) != len(self.dims) or not all(0 <= k < d for k, d in zip(index, self.dims)):
-            raise KeyRangeError(f"grid point {index} outside ensemble {self.label}")
+            raise ValueError(f"grid point {index} outside ensemble {self.label}")
         if self.kind == "linear":
             (k,), (d,) = index, self.dims
             if 2 * k > d:

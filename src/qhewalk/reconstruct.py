@@ -16,18 +16,18 @@ from itertools import combinations
 
 import numpy as np
 
-from .numerics import ContractError, DimensionError, finite_number, require_unitary, unitarize
+from .numerics import finite_number, require_unitary, unitarize
 
 MAX_MODES = 8
+# far below numpy's Poisson limit (about 9.2e18 expected counts)
+MAX_COUNTS_SCALE = 1e18
+# the input contract on a fit's restarts: each noisy restart runs in full
+MAX_RESTARTS = 1000
 _ZERO_COINCIDENCE = 1e-14
 # compare_to_truth skips the phase of true entries no larger than this
 PHASE_AMPLITUDE_FLOOR = 1e-6
 
 Pair = tuple[int, int]
-
-
-class MeasurementFormatError(ValueError):
-    """Measurement-set payload is malformed."""
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ class MeasurementNoise:
     distinguishability: float = 1.0
 
     def __post_init__(self):
-        if self.counts_scale is not None and not 0 < self.counts_scale < math.inf:
-            raise ValueError(f"counts_scale must be positive and finite, got {self.counts_scale}")
+        if self.counts_scale is not None and not 0 < self.counts_scale <= MAX_COUNTS_SCALE:
+            raise ValueError(f"counts_scale must lie in (0, {MAX_COUNTS_SCALE:g}], got {self.counts_scale}")
         if not (0.0 <= self.distinguishability <= 1.0):
             raise ValueError(f"distinguishability must lie in [0, 1], got {self.distinguishability}")
 
@@ -62,7 +62,7 @@ class MeasurementSet:
     def __post_init__(self):
         I = np.asarray(self.intensities, dtype=float)
         if I.ndim != 2 or I.shape[0] != I.shape[1]:
-            raise DimensionError(f"intensities must be square, got shape {I.shape}")
+            raise ValueError(f"intensities must be square, got shape {I.shape}")
         if not np.all((I >= -1e-9) & (I <= 1.0 + 1e-6)):
             raise ValueError("intensities must be finite and lie in [0, 1]")
         object.__setattr__(self, "intensities", I)
@@ -93,37 +93,39 @@ class MeasurementSet:
     @classmethod
     def from_payload(cls, payload) -> "MeasurementSet":
         if not isinstance(payload, dict):
-            raise MeasurementFormatError("measurement payload must be an object")
+            raise ValueError("measurement payload must be an object")
         try:
             m = payload["m"]
             raw_int = payload["intensities"]
             raw_vis = payload["visibilities"]
         except KeyError as exc:
-            raise MeasurementFormatError(f"missing field: {exc}") from None
+            raise ValueError(f"missing field: {exc}") from None
         if isinstance(m, bool) or not isinstance(m, int):
-            raise MeasurementFormatError(f"'m' must be an integer, got {m!r}")
+            raise ValueError(f"'m' must be an integer, got {m!r}")
         if not isinstance(raw_vis, list):
-            raise MeasurementFormatError("'visibilities' must be a list of records")
+            raise ValueError("'visibilities' must be a list of records")
         if not (isinstance(raw_int, list) and len(raw_int) == m
                 and all(isinstance(row, list) and len(row) == m for row in raw_int)):
-            raise MeasurementFormatError(f"'intensities' must be a {m}x{m} array of numbers")
-        I = np.array([[finite_number(v, f"'intensities'[{j}][{i}]", MeasurementFormatError)
+            raise ValueError(f"'intensities' must be a {m}x{m} array of numbers")
+        I = np.array([[finite_number(v, f"'intensities'[{j}][{i}]")
                        for i, v in enumerate(row)] for j, row in enumerate(raw_int)]).reshape(m, m)
         vis = {}
         for n, rec in enumerate(raw_vis):
             field = f"'visibilities'[{n}]"
             if not isinstance(rec, dict) or not {"inputs", "outputs", "value"} <= rec.keys():
-                raise MeasurementFormatError(f"{field} must have 'inputs', 'outputs' and 'value'")
+                raise ValueError(f"{field} must have 'inputs', 'outputs' and 'value'")
             pairs = (rec["inputs"], rec["outputs"])
             if not all(isinstance(p, list) and len(p) == 2
                        and all(isinstance(k, int) and not isinstance(k, bool) for k in p)
                        for p in pairs):
-                raise MeasurementFormatError(f"{field} 'inputs' and 'outputs' must be integer pairs")
+                raise ValueError(f"{field} 'inputs' and 'outputs' must be integer pairs")
             key = tuple(tuple(p) for p in pairs)
-            vis[key] = finite_number(rec["value"], f"{field} 'value'", MeasurementFormatError)
+            if key in vis:  # vis keeps one key per earlier record, in record order
+                raise ValueError(f"{field} repeats the pairs of 'visibilities'[{list(vis).index(key)}]")
+            vis[key] = finite_number(rec["value"], f"{field} 'value'")
         scale = payload.get("counts_scale")
         if scale is not None:
-            scale = finite_number(scale, "'counts_scale'", MeasurementFormatError)
+            scale = finite_number(scale, "'counts_scale'")
         return cls(I, vis, scale)
 
 
@@ -137,7 +139,7 @@ class GaugeFixedUnitary:
         M = require_unitary(self.matrix)
         edge = np.concatenate([M[0, :], M[:, 0]])
         if np.max(np.abs(edge.imag)) > 1e-8 or np.min(edge.real) < -1e-8:
-            raise ContractError("first row/column must be real non-negative")
+            raise ValueError("first row/column must be real non-negative")
         object.__setattr__(self, "matrix", M)
 
 
@@ -350,11 +352,11 @@ def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
     """
     m = meas.mode_count
     if m < 2:
-        raise DimensionError("reconstruction needs at least 2 modes")
+        raise ValueError("reconstruction needs at least 2 modes")
     if m > MAX_MODES:
         raise ValueError(f"m <= {MAX_MODES} supported, got {m}")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    if not 1 <= restarts <= MAX_RESTARTS:
+        raise ValueError(f"restarts must lie in [1, {MAX_RESTARTS}], got {restarts}")
     require_threshold(residual_threshold)
     anchored = {((0, i), (0, j)) for i in range(1, m) for j in range(1, m)}
     missing = anchored - set(meas.visibilities)
@@ -430,7 +432,7 @@ def compare_to_truth(candidate, truth):
     C = canonical_form(candidate)
     T = canonical_form(truth)
     if C.shape != T.shape:
-        raise DimensionError(f"shape mismatch: {C.shape} vs {T.shape}")
+        raise ValueError(f"shape mismatch: {C.shape} vs {T.shape}")
     amplitude_errors = np.abs(np.abs(C) - np.abs(T))
     phase_errors = np.zeros_like(amplitude_errors)
     mask = np.abs(T) > PHASE_AMPLITUDE_FLOOR

@@ -21,9 +21,9 @@ import math
 
 import numpy as np
 
-from .numerics import ContractError, DimensionError, hermitian_eig
+from .numerics import finite_number, hermitian_eig
 # the key grids live in polarization and are re-exported here
-from .polarization import (MAX_POLAR_GRID, KeyEnsemble, ResourceError, as_bits,  # noqa: F401
+from .polarization import (MAX_POLAR_GRID, KeyEnsemble, as_bits,  # noqa: F401
                            linear_ensemble, parse_ensemble, poincare_ensemble, rotation_matrices)
 
 MAX_QUBITS = 8
@@ -41,6 +41,12 @@ def _popcount_mask(m: int, d1: int) -> np.ndarray:
     return ((weight[:, None] - weight[None, :]) % d1 == 0).astype(float)
 
 
+def require_qubits(m: int) -> None:
+    """A density of m qubits is a 2^m x 2^m matrix: 1 <= m <= MAX_QUBITS."""
+    if not 1 <= m <= MAX_QUBITS:
+        raise ValueError(f"m must lie in [1, {MAX_QUBITS}] for a 2^m-dimensional density, got {m}")
+
+
 def encrypted_density(x, ensemble: KeyEnsemble) -> np.ndarray:
     """Mixed state of the encrypted plaintext x, averaged over the key ensemble.
 
@@ -51,8 +57,7 @@ def encrypted_density(x, ensemble: KeyEnsemble) -> np.ndarray:
     """
     bits = as_bits(x)
     m = len(bits)
-    if m > MAX_QUBITS:
-        raise ResourceError(f"density matrix would be {2 ** m} dimensional; m <= {MAX_QUBITS} supported")
+    require_qubits(m)
     theta = ensemble.polar_angles()
     # bit b encrypts to column b of the real rotation by theta
     rotations = rotation_matrices(0.0, 2 * theta, 0.0).real
@@ -69,10 +74,10 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     """S(rho) = -Tr(rho log2 rho) in bits; roundoff-negative eigenvalues clamp to 0."""
     lam = hermitian_eig(rho).eigenvalues
     if lam[0] < -DENSITY_TOL:
-        raise ContractError(f"matrix is not positive semidefinite: min eigenvalue {lam[0]:.3e}")
+        raise ValueError(f"matrix is not positive semidefinite: min eigenvalue {lam[0]:.3e}")
     trace = float(lam.sum())
     if abs(trace - 1.0) > DENSITY_TOL:
-        raise ContractError(f"trace must be 1, got {trace!r}")
+        raise ValueError(f"trace must be 1, got {trace!r}")
     lam = np.clip(lam, 0.0, None)
     lam = lam[lam > 0.0]
     return float(-(lam * np.log2(lam)).sum())
@@ -90,8 +95,7 @@ def holevo(m: int, ensemble: KeyEnsemble) -> float:
     security report's holevo_bits. Full-sphere grids are not closed under the
     flip, and the two differ.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    require_qubits(m)  # before any m-bit plaintext is built
     total = 0.0
     for w in range(m + 1):
         rho = encrypted_density("0" * (m - w) + "1" * w, ensemble)
@@ -113,6 +117,12 @@ def hidden_bits_linear_asymptotic(m) -> float:
     return 0.5 * math.log2(math.pi * math.e * m / 2.0)
 
 
+def require_attack_qubits(m: int) -> None:
+    """The exact attack sum runs on at most MAX_ATTACK_QUBITS qubits."""
+    if m > MAX_ATTACK_QUBITS:
+        raise ValueError(f"m must be <= {MAX_ATTACK_QUBITS} for the exact attack sum, got {m}")
+
+
 def attack_success(m: int, d: int) -> float:
     """Exact success probability of the random-basis attack: (1/d) sum_j cos^2m(j pi/d).
 
@@ -124,8 +134,7 @@ def attack_success(m: int, d: int) -> float:
     """
     if m < 1 or d < 1:
         raise ValueError("m and d must be >= 1")
-    if m > MAX_ATTACK_QUBITS:
-        raise ValueError(f"m must be <= {MAX_ATTACK_QUBITS} for the exact attack sum, got {m}")
+    require_attack_qubits(m)
     binomial = num = math.comb(2 * m, m)
     for l in range(1, m // d * d + 1):
         binomial = binomial * (m - l + 1) // (m + l)  # C(2m, m + l)
@@ -138,7 +147,7 @@ def attack_asymptote(m) -> float:
     """Large-m limit of attack_success: 1/sqrt(pi m)."""
     if m <= 0:
         raise ValueError("m must be positive")
-    return 1.0 / math.sqrt(math.pi * m)
+    return 1.0 / math.sqrt(math.pi * finite_number(m, "m"))  # an int past float range is refused
 
 
 def require_trials(trials: int) -> None:
@@ -161,7 +170,7 @@ def simulate_attack(m: int, d: int, plaintext, trials: int, random_source) -> fl
     """
     bits = as_bits(plaintext)
     if len(bits) != m:
-        raise DimensionError(f"plaintext length {len(bits)} != m = {m}")
+        raise ValueError(f"plaintext length {len(bits)} != m = {m}")
     require_trials(trials)
     win_prob = (np.cos(linear_ensemble(d).polar_angles()) ** 2) ** m  # per key
     per_key = random_source.multinomial(trials, np.full(d, 1.0 / d))
@@ -173,6 +182,6 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     a = np.asarray(rho)
     b = np.asarray(sigma)
     if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return float(0.5 * np.abs(hermitian_eig(a - b).eigenvalues).sum())
 

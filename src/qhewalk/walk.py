@@ -15,17 +15,15 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .numerics import ContractError, DimensionError, permanent, require_unitary
+from .numerics import permanent, require_unitary
 from .polarization import PolarizationKey, as_bits, encrypt, projection_probability
 
 MAX_WALKERS = 6
+# output occupations of one exact law, C(m+n-1, n): 6 walkers fit in 15 modes, 2 in 315
+MAX_OUTCOMES = 5 * 10 ** 4
 # the input contract on shots; it also keeps the count far inside numpy's int64
 # range, beyond which multinomial raises OverflowError
 MAX_SHOTS = 10 ** 7
-
-
-class EncodingError(ValueError):
-    """Occupation cannot be encoded in the one-photon-per-mode scheme."""
 
 
 @dataclass(frozen=True)
@@ -51,7 +49,7 @@ class NoiseModel:
 def as_occupation(counts) -> tuple[int, ...]:
     occ = tuple(int(c) for c in counts)
     if not occ or any(c < 0 for c in occ):
-        raise EncodingError(f"occupation must be nonempty with counts >= 0: {counts!r}")
+        raise ValueError(f"occupation must be nonempty with counts >= 0: {counts!r}")
     return occ
 
 
@@ -71,6 +69,14 @@ def occupation_states(m: int, n: int) -> list[tuple[int, ...]]:
     return states
 
 
+def require_law_size(m: int, n: int) -> None:
+    """A law of n photons in m modes: n <= MAX_WALKERS and C(m+n-1, n) <= MAX_OUTCOMES outcomes."""
+    if n > MAX_WALKERS:
+        raise ValueError(f"at most {MAX_WALKERS} photons supported, got {n}")
+    if (outcomes := math.comb(m + n - 1, n)) > MAX_OUTCOMES:
+        raise ValueError(f"{n} photons in {m} modes have {outcomes} outcomes; at most {MAX_OUTCOMES}")
+
+
 def _exact_law(U, input_occupation, weights) -> dict[tuple[int, ...], float]:
     """Transition law P(source -> T) over all n-photon output multisets T.
 
@@ -81,15 +87,14 @@ def _exact_law(U, input_occupation, weights) -> dict[tuple[int, ...], float]:
     U = require_unitary(U)
     m = len(source)
     if m != U.shape[0]:
-        raise DimensionError(f"occupation length {m} != mode count {U.shape[0]}")
+        raise ValueError(f"occupation length {m} != mode count {U.shape[0]}")
     n = sum(source)
-    if n > MAX_WALKERS:
-        raise ContractError(f"at most {MAX_WALKERS} photons supported, got {n}")
+    require_law_size(m, n)
     states = occupation_states(m, n)
     probs = weights(U, source, states)
     total = sum(probs)
     if abs(total - 1.0) > 1e-9:
-        raise ContractError(f"transition law failed to normalize: sum = {total!r}")
+        raise ValueError(f"transition law failed to normalize: sum = {total!r}")
     return {t: p / total for t, p in zip(states, probs, strict=True)}
 
 
@@ -217,7 +222,7 @@ def run_protocol(U, plaintext, key: PolarizationKey, shots: int, random_source,
     for bit, state in zip(bits, encrypt(bits, key)):
         p0 = projection_probability(state, key)
         if abs(p0 - (1.0 - bit)) > 1e-9:
-            raise ContractError("key failed to decrypt its own encryption")
+            raise ValueError("key failed to decrypt its own encryption")
 
     law = protocol_distribution(U, bits, noise)
     totals = random_source.multinomial(shots, list(law.values()))

@@ -125,8 +125,13 @@ def test_rejections_name_the_field_or_file(tmp_path):
     not_json = tmp_path / "not-json.json"
     not_json.write_text("U = [[1, 0], [0, 1]]\n")
     meas = tmp_path / "meas.json"
-    meas.write_text(json.dumps(synthesize_measurements(haar_unitary(3, np.random.default_rng(3)))
-                               .to_payload()))
+    payload = synthesize_measurements(haar_unitary(3, np.random.default_rng(3))).to_payload()
+    meas.write_text(json.dumps(payload))
+    repeated = tmp_path / "repeated.json"
+    payload["visibilities"].append(dict(payload["visibilities"][2], value=-0.9))
+    repeated.write_text(json.dumps(payload))
+    wide = tmp_path / "identity41.json"  # 6 walkers in 41 modes: 9,366,819 outcomes
+    wide.write_text(json.dumps(unitary_to_payload(np.eye(41))))
     walk = ("walk", "--device", "identity4", "--input", "0101", "--shots", "10")
     fit = ("reconstruct", "--measurements", str(meas), "--restarts", "1", "--threshold", "1e9")
     cases = [((*walk, "--key", spec), "key")
@@ -154,7 +159,20 @@ def test_rejections_name_the_field_or_file(tmp_path):
               # above MAX_ATTACK_QUBITS, checked before the first draw
               (("attack", "--m", "10001"), "m must be <= 10000"),
               # no trial runs with --asymptote-only, but the count is still checked
-              (("attack", "--m", "4", "--asymptote-only", "--trials", "-3"), "trials must be >= 1")]
+              (("attack", "--m", "4", "--asymptote-only", "--trials", "-3"), "trials must be >= 1"),
+              # each bound is checked before the m-bit plaintext or the law is built
+              (("attack", "--m", "1000000000"), "m must be <= 10000"),
+              (("attack", "--m", "1" + "0" * 400, "--asymptote-only"), "m must be a finite number"),
+              (("attack", "--m", str(10 ** 20)), "m must be <= 10000"),
+              (("security", "--m", "1000000000"), "m:"),
+              (("security", "--m", str(10 ** 20)), "m:"),
+              (("security", "--m", "0"), "m:"),
+              (("walk", "--device", str(wide), "--input", "0" * 6 + "1" * 35), "input:"),
+              (("reconstruct", "--measurements", str(repeated)),
+               "'visibilities'[9] repeats the pairs of 'visibilities'[2]"),
+              (("reconstruct", "--device", "u1", "--counts", "1e300"), "counts:"),
+              (("reconstruct", "--device", "u1", "--restarts", "1000000000"), "restarts must lie in"),
+              (("reconstruct", "--device", "u1", "--restarts", "0"), "restarts must lie in")]
     # above MAX_TRIALS, and far beyond numpy's int64 range
     for trials in (str(MAX_TRIALS + 1), str(10 ** 19)):
         cases += [(("attack", "--m", "1", "--d", "2", "--trials", trials), "trials:"),
@@ -190,8 +208,9 @@ class TestAttackCommand:
         assert report["curve"] == []
         assert report["config"]["plaintext"] is None
         # the exact sum's m bound does not apply: only the closed form runs
-        report = run_json("attack", "--m", "1000000", "--asymptote-only")
-        assert report["p_asymptote"] == pytest.approx(1 / math.sqrt(math.pi * 1e6), rel=1e-15)
+        for m in (10 ** 6, 10 ** 20):
+            report = run_json("attack", "--m", str(m), "--asymptote-only")
+            assert report["p_asymptote"] == pytest.approx(1 / math.sqrt(math.pi * m), rel=1e-15)
 
     def test_csv_output(self):
         proc = run_cli("attack", "--m", "2", "--d", "2,4", "--trials", "100", "--csv")

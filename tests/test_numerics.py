@@ -7,8 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from qhewalk.cli import unitary_from_payload
-from qhewalk.numerics import (RYSER_MAX_DIM, ContractError, DimensionError, SingularMatrixError,
-                              hermitian_eig, permanent, permanent_naive, unitarize)
+from qhewalk.numerics import (RYSER_MAX_DIM, hermitian_eig, permanent, permanent_naive, unitarize)
 from oracles import haar_unitary, permanent_by_definition, polar_factor_by_eigh
 
 U1_PRINTED = np.array([
@@ -98,7 +97,7 @@ class TestPermanent:
         assert permanent(A[sigma][:, tau]) == pytest.approx(permanent(A), rel=1e-10)
 
     def test_rejects_non_square(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match="must be a square matrix"):
             permanent(np.ones((2, 3)))
 
     def test_rejects_nan(self):
@@ -108,9 +107,9 @@ class TestPermanent:
             permanent(A)
 
     def test_size_caps(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match=f"^permanent limited to n <= {RYSER_MAX_DIM}, got"):
             permanent(np.eye(RYSER_MAX_DIM + 1))
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match="naive permanent limited to n <= 8, got 9"):
             permanent_naive(np.eye(9))
 
 
@@ -133,7 +132,7 @@ class TestHermitianEig:
 
     def test_rejects_non_hermitian(self):
         M = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ContractError):
+        with pytest.raises(ValueError, match="not Hermitian"):
             hermitian_eig(M)
 
     def test_tolerates_roundoff_asymmetry(self):
@@ -167,7 +166,7 @@ class TestUnitarize:
     def test_rejects_singular(self):
         M = np.zeros((3, 3), dtype=complex)
         M[0, 0] = 1.0
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(ValueError, match="singular"):
             unitarize(M)
 
     def test_svd_matches_iterative_eigh_route(self):
@@ -188,7 +187,7 @@ class TestUnitarize:
         singular = [np.zeros((2, 2)), np.outer(G[0], G[1]), dependent,
                     np.diag([1.0, 1.0, 1e-7])]  # s_min^2 = 1e-14 of s_max^2
         for M in singular:
-            with pytest.raises(SingularMatrixError):
+            with pytest.raises(ValueError, match="singular"):
                 unitarize(M)
             with pytest.raises(ValueError):
                 polar_factor_by_eigh(M)

@@ -1,13 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from qhewalk import reconstruct
 from qhewalk.cli import load_device
-from qhewalk.numerics import ContractError, unitarize
-from qhewalk.reconstruct import (GaugeFixedUnitary, MeasurementFormatError,
-                                 MeasurementNoise, MeasurementSet, all_pairs,
+from qhewalk.numerics import unitarize
+from qhewalk.reconstruct import (GaugeFixedUnitary, MeasurementNoise, MeasurementSet, all_pairs,
                                  canonical_form, compare_to_truth, gauge_fix,
                                  reconstruct_unitary, synthesize_measurements)
 from qhewalk.walk import classical_output_distribution, output_distribution
@@ -91,9 +91,9 @@ class TestSynthesize:
 
     def test_rejects_non_unitary(self):
         for bad in (np.ones((3, 3)), np.full((3, 3), np.nan)):
-            with pytest.raises(ContractError):
+            with pytest.raises(ValueError, match="not unitary|non-finite entries"):
                 synthesize_measurements(bad)
-            with pytest.raises(ContractError):
+            with pytest.raises(ValueError, match="not unitary|non-finite entries"):
                 gauge_fix(bad)
 
 
@@ -119,11 +119,11 @@ class TestGauge:
         assert np.max(np.abs(recovered - target)) <= 1e-12
 
     def test_type_validation(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ValueError, match="matrix is not unitary"):
             GaugeFixedUnitary(np.ones((2, 2)))
-        with pytest.raises(ContractError):
+        with pytest.raises(ValueError, match="non-finite entries"):
             GaugeFixedUnitary(np.full((3, 3), np.nan))
-        with pytest.raises(ContractError):
+        with pytest.raises(ValueError, match="first row/column must be real non-negative"):
             GaugeFixedUnitary(np.diag([1j, 1.0]))  # unitary but wrong gauge
 
     def test_canonical_form_resolves_conjugation(self):
@@ -325,20 +325,30 @@ class TestPayload:
     def test_malformed(self):
         good = synthesize_measurements(COUPLER).to_payload()
         record = good["visibilities"][0]
-        for corrupt in (
-            dict(good, visibilities=[dict(record, inputs=[0.2, 1.7])]),
-            dict(good, intensities=[["0.5", 0.5], [0.5, 0.5]]),
-            dict(good, visibilities=[dict(record, value="1.0")]),
-            dict(good, visibilities=[dict(record, value=True)]),
-            [],
-            {},
-            {"m": 2, "intensities": [[1, 0]], "visibilities": []},
-            {"m": 2, "intensities": good["intensities"], "visibilities": [{"inputs": [0]}]},
-            dict(good, intensities=[[10 ** 400, 0], [0, 1]]),
-            dict(good, counts_scale=10 ** 400),
-            dict(good, counts_scale="1e6"),
+        for corrupt, message in (
+            (dict(good, visibilities=[dict(record, inputs=[0.2, 1.7])]),
+             "'visibilities'[0] 'inputs' and 'outputs' must be integer pairs"),
+            (dict(good, intensities=[["0.5", 0.5], [0.5, 0.5]]),
+             "'intensities'[0][0] must be a finite number"),
+            (dict(good, visibilities=[dict(record, value="1.0")]),
+             "'visibilities'[0] 'value' must be a finite number"),
+            (dict(good, visibilities=[dict(record, value=True)]),
+             "'visibilities'[0] 'value' must be a finite number"),
+            ([], "measurement payload must be an object"),
+            ({}, "missing field: 'm'"),
+            ({"m": 2, "intensities": [[1, 0]], "visibilities": []},
+             "'intensities' must be a 2x2 array"),
+            ({"m": 2, "intensities": good["intensities"], "visibilities": [{"inputs": [0]}]},
+             "'visibilities'[0] must have 'inputs', 'outputs' and 'value'"),
+            (dict(good, intensities=[[10 ** 400, 0], [0, 1]]),
+             "'intensities'[0][0] must be a finite number"),
+            (dict(good, counts_scale=10 ** 400), "'counts_scale' must be a finite number"),
+            (dict(good, counts_scale="1e6"), "'counts_scale' must be a finite number"),
+            # a repeated pair would silently replace the earlier record's value
+            (dict(good, visibilities=[record, dict(record, value=-0.9)]),
+             "'visibilities'[1] repeats the pairs of 'visibilities'[0]"),
         ):
-            with pytest.raises(MeasurementFormatError):
+            with pytest.raises(ValueError, match=re.escape(message)):
                 MeasurementSet.from_payload(corrupt)
         MeasurementSet.from_payload(good)
 

@@ -1,12 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2, chi2_contingency
 
-from qhewalk.cli import DeviceFormatError, unitary_from_payload, unitary_to_payload
-from qhewalk.numerics import ContractError, DimensionError, permanent, unitarize
+from qhewalk.cli import unitary_from_payload, unitary_to_payload
+from qhewalk.numerics import permanent, unitarize
 from qhewalk.polarization import linear_ensemble, sample_haar_key
 from qhewalk.walk import (MAX_SHOTS, NoiseModel, bhattacharyya_fidelity,
                           classical_output_distribution, occupation_states, occupation_to_bits,
@@ -116,21 +117,21 @@ class TestOutputDistribution:
             assert p == pytest.approx(base[scatter(occ, tau)], abs=1e-12)
 
     def test_rejects_non_unitary(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ValueError, match="matrix is not unitary"):
             output_distribution(U1_PRINTED, (1, 0, 0, 0))
         # without walkers no permanent sees the matrix: only the unitarity check can object
         nan = np.full((4, 4), np.nan)
-        with pytest.raises(ContractError):
+        with pytest.raises(ValueError, match="non-finite entries"):
             output_distribution(nan, (0, 0, 0, 0))
-        with pytest.raises(ContractError):
+        with pytest.raises(ValueError, match="non-finite entries"):
             run_protocol(nan, "1111", linear_ensemble(1).key(0), 10, np.random.default_rng(0))
 
     def test_rejects_too_many_photons(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ValueError, match="at most 6 photons supported, got 7"):
             output_distribution(np.eye(8), (1,) * 7 + (0,))
 
     def test_rejects_length_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match="occupation length 3 != mode count 4"):
             output_distribution(U1, (1, 0, 0))
 
 
@@ -309,7 +310,7 @@ class TestRunProtocol:
         assert a.occupation_counts == b.occupation_counts
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(ValueError, match="occupation length 3 != mode count 4"):
             run_protocol(U1, "011", linear_ensemble(1).key(0), 10, make_rng())
 
     def test_bad_shots(self):
@@ -376,17 +377,20 @@ class TestDevicePayload:
 
     def test_malformed(self):
         good = unitary_to_payload(np.eye(2))
-        for corrupt in (
-            {},
-            {"m": 2},
-            {"m": 0, "unitary": []},
-            {"m": 2, "unitary": [[[1, 0]]]},
-            {"m": 2, "unitary": [[[1, 0], [0]], [[0, 0], [1, 0]]]},
-            {"m": 2, "unitary": [[[1, 0], ["x", 0]], [[0, 0], [1, 0]]]},
-            {"m": True, "unitary": [[[1, 0]]]},
-            {"m": 1, "unitary": [[[True, False]]]},
-            {"m": 1, "unitary": [[[10 ** 400, 0]]]},
+        for corrupt, message in (
+            ({}, "device payload must be an object with 'm' and 'unitary'"),
+            ({"m": 2}, "device payload must be an object with 'm' and 'unitary'"),
+            ({"m": 0, "unitary": []}, "'m' must be a positive integer, got 0"),
+            ({"m": 2, "unitary": [[[1, 0]]]}, "'unitary' must be a list of 2 rows"),
+            ({"m": 2, "unitary": [[[1, 0], [0]], [[0, 0], [1, 0]]]},
+             "'unitary' entry (0,1) must be [re, im] numbers"),
+            ({"m": 2, "unitary": [[[1, 0], ["x", 0]], [[0, 0], [1, 0]]]},
+             "'unitary' entry (0,1) must be a finite number"),
+            ({"m": True, "unitary": [[[1, 0]]]}, "'m' must be a positive integer, got True"),
+            ({"m": 1, "unitary": [[[True, False]]]}, "'unitary' entry (0,0) must be a finite number"),
+            ({"m": 1, "unitary": [[[10 ** 400, 0]]]},
+             "'unitary' entry (0,0) must be a finite number"),
         ):
-            with pytest.raises(DeviceFormatError):
+            with pytest.raises(ValueError, match=re.escape(message)):
                 unitary_from_payload(corrupt)
         unitary_from_payload(good)
