@@ -6,10 +6,12 @@ reconstruct (characterization round trip), devices (embedded interferometers).
 
 All output is machine-first JSON (``--csv`` gives flat tables for the walk and
 attack commands). Every report echoes its fully resolved configuration, and a
-given seed + configuration always produces byte-identical output. No command
-starts a thread. Imported before numpy, this module pins BLAS to one thread,
-whatever the environment says. Each command imports the engine modules it
-uses when it runs, so a report loads no other numerical code.
+given seed + configuration always produces byte-identical output. Each
+subcommand returns its report text and exit code; ``main`` alone writes the
+text, to stdout or to ``--out``. No command starts a thread. Imported before
+numpy, this module pins BLAS to one thread, whatever the environment says.
+Each command imports the engine modules it uses when it runs, so a report
+loads no other numerical code.
 """
 from __future__ import annotations
 
@@ -166,13 +168,6 @@ def occupation_label(occ) -> str:
     return "[" + ",".join(str(int(c)) for c in occ) + "]"
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        Path(out_path).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _json_text(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
@@ -187,7 +182,7 @@ def _csv_text(header, rows) -> str:
 
 # ----------------------------------------------------------------- commands
 
-def cmd_walk(args) -> int:
+def cmd_walk(args) -> tuple[str, int]:
     from .polarization import as_bits
     from .walk import NoiseModel, bhattacharyya_fidelity, postselect, require_law_size, run_protocol
 
@@ -210,7 +205,6 @@ def cmd_walk(args) -> int:
     empirical_occ = result.empirical_occupations()
     exact_bits, collision_probability = postselect(exact_occ)
     empirical_bits, collisions = postselect(result.occupation_counts)
-    # occupation tuples sort like their labels: every count is a single digit
     fidelity_occ = bhattacharyya_fidelity(exact_occ, empirical_occ)
     fidelity_bits = bhattacharyya_fidelity(exact_bits, empirical_bits)
 
@@ -227,13 +221,13 @@ def cmd_walk(args) -> int:
         },
         "device": device_echo(device),
         "exact": {
-            "occupations": {occupation_label(o): float(p) for o, p in sorted(exact_occ.items())},
-            "bitstrings": {b: float(p) for b, p in sorted(exact_bits.items())},
+            "occupations": {occupation_label(o): float(p) for o, p in exact_occ.items()},
+            "bitstrings": {b: float(p) for b, p in exact_bits.items()},
             "collision_probability": float(collision_probability),
         },
         "empirical": {
-            "occupations": {occupation_label(o): float(p) for o, p in sorted(empirical_occ.items())},
-            "bitstrings": {b: float(p) for b, p in sorted(empirical_bits.items())},
+            "occupations": {occupation_label(o): float(p) for o, p in empirical_occ.items()},
+            "bitstrings": {b: float(p) for b, p in empirical_bits.items()},
             "collisions": int(collisions),
             "collision_fraction": collisions / result.shots,
         },
@@ -243,15 +237,14 @@ def cmd_walk(args) -> int:
         },
     }
     if args.csv:
+        # occupation tuples sort like their labels: every count is a single digit
         rows = [(occupation_label(o), repr(float(p)), repr(float(empirical_occ.get(o, 0.0))))
                 for o, p in sorted(exact_occ.items())]
-        _emit(_csv_text(["outcome", "exact", "empirical"], rows), args.out)
-    else:
-        _emit(_json_text(report), args.out)
-    return 0
+        return _csv_text(["outcome", "exact", "empirical"], rows), 0
+    return _json_text(report), 0
 
 
-def cmd_attack(args) -> int:
+def cmd_attack(args) -> tuple[str, int]:
     from .polarization import as_bits, linear_ensemble, parse_grid
     from .security import attack_asymptote, require_attack_qubits, require_trials
 
@@ -291,10 +284,8 @@ def cmd_attack(args) -> int:
     if args.csv:
         rows = [(r["d"], repr(r["p_exact"]), repr(r["p_empirical"]), repr(r["stderr"]),
                  r["trials"]) for r in curve]
-        _emit(_csv_text(["d", "p_exact", "p_empirical", "stderr", "trials"], rows), args.out)
-    else:
-        _emit(_json_text(report), args.out)
-    return 0
+        return _csv_text(["d", "p_exact", "p_empirical", "stderr", "trials"], rows), 0
+    return _json_text(report), 0
 
 
 def _attack_curve(m: int, ds, plaintext, trials: int, rng) -> list[dict]:
@@ -322,7 +313,7 @@ def _hamming_trace_distances(m: int, ensemble, rho0) -> dict:
     return out
 
 
-def cmd_security(args) -> int:
+def cmd_security(args) -> tuple[str, int]:
     from .polarization import parse_ensemble
     from .security import (encrypted_density, hidden_bits_linear_asymptotic, holevo,
                            holevo_poincare_limit, require_qubits, require_trials,
@@ -377,12 +368,10 @@ def cmd_security(args) -> int:
             label: distances if label == ensemble.label
             else _hamming_trace_distances(m, parse_ensemble(label), rho0(label))
             for label in HEDGE_ENSEMBLES}
-
-    _emit(_json_text(report), args.out)
-    return 0
+    return _json_text(report), 0
 
 
-def cmd_reconstruct(args) -> int:
+def cmd_reconstruct(args) -> tuple[str, int]:
     from .reconstruct import (MeasurementNoise, MeasurementSet, compare_to_truth,
                               reconstruct_unitary, require_threshold, synthesize_measurements)
 
@@ -446,23 +435,20 @@ def cmd_reconstruct(args) -> int:
             "amplitude_errors": [[float(v) for v in row] for row in amp_err],
             "phase_errors": [[float(v) for v in row] for row in phase_err],
         }
-    _emit(_json_text(report), args.out)
-    return 0 if result.success else 3
+    return _json_text(report), 0 if result.success else 3
 
 
-def cmd_devices(args) -> int:
+def cmd_devices(args) -> tuple[str, int]:
     if args.dump:
         if args.dump not in BUILTIN_DEVICES:
             raise ValueError(f"unknown builtin device {args.dump!r}")
         payload = read_json(resources.files("qhewalk").joinpath(f"devices/{args.dump}.json"))
-        _emit(_json_text(payload), args.out)
-        return 0
+        return _json_text(payload), 0
     report = {
         "command": "devices",
         "devices": [device_echo(load_device(name)) for name in BUILTIN_DEVICES],
     }
-    _emit(_json_text(report), args.out)
-    return 0
+    return _json_text(report), 0
 
 
 # ------------------------------------------------------------------- parser
@@ -537,10 +523,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        text, code = args.func(args)
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -148,8 +148,13 @@ class ReconstructionReport:
     success: bool
     unitary: GaugeFixedUnitary
     residual: float
-    threshold: float
     restarts_used: int
+
+
+def require_modes(m: int) -> None:
+    """A characterization covers 2 <= m <= MAX_MODES modes."""
+    if not 2 <= m <= MAX_MODES:
+        raise ValueError(f"m must lie in [2, {MAX_MODES}] for reconstruction, got {m}")
 
 
 def all_pairs(m: int) -> list[tuple[Pair, Pair]]:
@@ -206,6 +211,7 @@ def synthesize_measurements(U, noise: MeasurementNoise = MeasurementNoise(),
     Poisson draws at that scale.
     """
     M = require_unitary(U)
+    require_modes(M.shape[0])  # before the C(m, 2)^2 pair settings are built
     pairs = all_pairs(M.shape[0])
     intensities = np.abs(M) ** 2
     cmin, cmax = _coincidences(M, _pair_indices(pairs))
@@ -222,27 +228,18 @@ def synthesize_measurements(U, noise: MeasurementNoise = MeasurementNoise(),
     return MeasurementSet(intensities, dict(zip(pairs, vis.tolist())), noise.counts_scale)
 
 
-def _gauge_fix_matrix(U: np.ndarray) -> np.ndarray:
-    left = np.exp(-1j * np.angle(U[:, 0]))
-    M = U * left[:, None]
-    right = np.exp(-1j * np.angle(M[0, :]))
-    return M * right[None, :]
-
-
-def gauge_fix(U) -> GaugeFixedUnitary:
-    """Rephase rows and columns so the first row and column are real >= 0."""
-    return GaugeFixedUnitary(_gauge_fix_matrix(require_unitary(U)))
-
-
 def canonical_form(U) -> np.ndarray:
     """Gauge-fixed representative with the conjugation ambiguity resolved.
 
-    Intensities and visibilities cannot tell U from conj(U) (every observable
-    is a squared modulus), so comparisons happen in a canonical form: after
-    gauge fixing, the entry with the largest |imaginary part| is made to have
-    a non-negative imaginary part.
+    Rows, then columns, are rephased so the first column and row are real
+    >= 0. Intensities and visibilities cannot tell U from conj(U) (every
+    observable is a squared modulus), so comparisons happen in a canonical
+    form: after gauge fixing, the entry with the largest |imaginary part| is
+    made to have a non-negative imaginary part.
     """
-    M = _gauge_fix_matrix(np.asarray(U, dtype=complex))
+    M = np.asarray(U, dtype=complex)
+    M = M * np.exp(-1j * np.angle(M[:, 0]))[:, None]
+    M = M * np.exp(-1j * np.angle(M[0, :]))[None, :]
     im = np.abs(M.imag)
     j, i = np.unravel_index(int(np.argmax(im)), im.shape)
     if M[j, i].imag < 0:
@@ -296,7 +293,8 @@ def _levenberg_marquardt(fun, jac, x0):
     Levenberg-Marquardt after MINPACK's lmder (More 1978): the Jacobian from
     jac(x), damping scaled by D = diag(J^T J), and lmder's stopping rules with
     xtol = ftol = gtol = 1e-15. At most 100 (n + 1) calls, each call of fun or
-    of jac counting one.
+    of jac counting one; a damped system too singular to solve counts as a
+    rejected step.
     """
     tol = 1e-15
     x = np.array(x0, dtype=float)
@@ -316,9 +314,13 @@ def _levenberg_marquardt(fun, jac, x0):
             break
         d[~live] = 1.0
         while calls < max_calls:
-            p = np.linalg.solve(A + lam * np.diag(d), -g)
-            f_new = fun(x + p)
             calls += 1
+            try:
+                p = np.linalg.solve(A + lam * np.diag(d), -g)
+            except np.linalg.LinAlgError:
+                lam *= 10.0
+                continue
+            f_new = fun(x + p)
             # actual and predicted relative reductions of ||f||^2 (ftol), step size (xtol)
             actred = 1.0 - (f_new @ f_new) / f2
             prered = (p @ A @ p + 2.0 * lam * (d * p) @ p) / f2
@@ -351,10 +353,7 @@ def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
     finite, non-negative residual_threshold) is reported, not raised.
     """
     m = meas.mode_count
-    if m < 2:
-        raise ValueError("reconstruction needs at least 2 modes")
-    if m > MAX_MODES:
-        raise ValueError(f"m <= {MAX_MODES} supported, got {m}")
+    require_modes(m)
     if not 1 <= restarts <= MAX_RESTARTS:
         raise ValueError(f"restarts must lie in [1, {MAX_RESTARTS}], got {restarts}")
     require_threshold(residual_threshold)
@@ -367,6 +366,10 @@ def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
     idx = _pair_indices(pairs)
     vmeas = np.array([meas.visibilities[p] for p in pairs])
     A = np.sqrt(np.clip(meas.intensities, 0.0, None))
+    for axis, kind in ((1, "output"), (0, "input")):  # no unitary has an all-zero row or column
+        dark = np.flatnonzero(~A.any(axis=axis))
+        if dark.size:
+            raise ValueError(f"intensities: every entry of {kind} mode {dark[0]} is zero")
     nfree = (m - 1) ** 2
 
     def unitarity_rows(M):
@@ -418,7 +421,6 @@ def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
         success=residual <= residual_threshold,
         unitary=GaugeFixedUnitary(canonical_form(recovered)),
         residual=residual,
-        threshold=residual_threshold,
         restarts_used=used,
     )
 

@@ -18,17 +18,14 @@ from qhewalk.security import MAX_TRIALS
 from oracles import haar_unitary
 
 
-def run_cli(*argv, threads=None):
-    env = dict(os.environ)
-    env.pop("QHE_THREADS", None)
-    if threads is not None:
-        env["QHE_THREADS"] = str(threads)
+def run_cli(*argv):
+    # an input that is unbounded again fails the suite instead of hanging it
     return subprocess.run([sys.executable, "-m", "qhewalk", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, timeout=120)
 
 
-def run_json(*argv, **kw):
-    proc = run_cli(*argv, **kw)
+def run_json(*argv):
+    proc = run_cli(*argv)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -132,6 +129,10 @@ def test_rejections_name_the_field_or_file(tmp_path):
     repeated.write_text(json.dumps(payload))
     wide = tmp_path / "identity41.json"  # 6 walkers in 41 modes: 9,366,819 outcomes
     wide.write_text(json.dumps(unitary_to_payload(np.eye(41))))
+    # a fit needs a mode pair; 100 modes would synthesize C(100, 2)^2 pair settings
+    one_mode, hundred_modes = tmp_path / "identity1.json", tmp_path / "identity100.json"
+    one_mode.write_text(json.dumps(unitary_to_payload(np.eye(1))))
+    hundred_modes.write_text(json.dumps(unitary_to_payload(np.eye(100))))
     walk = ("walk", "--device", "identity4", "--input", "0101", "--shots", "10")
     fit = ("reconstruct", "--measurements", str(meas), "--restarts", "1", "--threshold", "1e9")
     cases = [((*walk, "--key", spec), "key")
@@ -172,7 +173,12 @@ def test_rejections_name_the_field_or_file(tmp_path):
                "'visibilities'[9] repeats the pairs of 'visibilities'[2]"),
               (("reconstruct", "--device", "u1", "--counts", "1e300"), "counts:"),
               (("reconstruct", "--device", "u1", "--restarts", "1000000000"), "restarts must lie in"),
-              (("reconstruct", "--device", "u1", "--restarts", "0"), "restarts must lie in")]
+              (("reconstruct", "--device", "u1", "--restarts", "0"), "restarts must lie in"),
+              (("reconstruct", "--device", str(one_mode)), "m must lie in [2, 8]"),
+              (("reconstruct", "--device", str(hundred_modes)), "m must lie in [2, 8]"),
+              # main alone writes --out; a path it cannot write exits 2 like bad input
+              (("devices", "--out", str(tmp_path / "missing" / "devices.json")),
+               str(tmp_path / "missing"))]
     # above MAX_TRIALS, and far beyond numpy's int64 range
     for trials in (str(MAX_TRIALS + 1), str(10 ** 19)):
         cases += [(("attack", "--m", "1", "--d", "2", "--trials", trials), "trials:"),
@@ -367,12 +373,6 @@ class TestDeterminism:
             assert a.returncode == b.returncode
             assert a.stdout == b.stdout, f"non-deterministic output for {argv}"
 
-    def test_thread_count_never_changes_bytes(self):
-        # QHE_THREADS is no longer read: a value left in the environment changes nothing
-        argv = ("walk", "--device", "u2", "--input", "1001", "--shots", "20000", "--seed", "2")
-        outputs = {run_cli(*argv, threads=t).stdout for t in (1, 2, 8)}
-        assert len(outputs) == 1
-
     def test_out_flag_writes_file(self, tmp_path):
         path = tmp_path / "report.json"
         proc = run_cli("walk", "--device", "identity4", "--input", "0101",
@@ -515,26 +515,31 @@ def _mutate(data, node):
 def test_parsers_exit_0_or_2(data):
     """Device and measurement JSON, --key and --ensemble: a report or exit 2, never an exception."""
     kind = data.draw(st.sampled_from(["device", "measurements", "key", "ensemble"]))
+    # a huge threshold keeps a poor fit from exiting 3 (reported, not rejected)
+    fit = ["--restarts", "1", "--threshold", "1e9"]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input.json"
         if kind == "device":
             m = data.draw(st.integers(1, 3))
             payload = unitary_to_payload(haar_unitary(m, np.random.default_rng(m)))
-            path.write_text(json.dumps(_mutate(data, payload)))
-            argv = ["walk", "--device", str(path), "--input", "0" * m, "--shots", "20"]
+            # an intact device too: a valid 1-mode device must not crash a command
+            if data.draw(st.booleans()):
+                payload = _mutate(data, payload)
+            path.write_text(json.dumps(payload))
+            runs = [["walk", "--device", str(path), "--input", "0" * m, "--shots", "20"],
+                    ["reconstruct", "--device", str(path), *fit]]
         elif kind == "measurements":
             m = data.draw(st.integers(2, 3))
             payload = synthesize_measurements(haar_unitary(m, np.random.default_rng(m))).to_payload()
             path.write_text(json.dumps(_mutate(data, payload)))
-            # a huge threshold keeps a poor fit from exiting 3 (reported, not rejected)
-            argv = ["reconstruct", "--measurements", str(path), "--restarts", "1",
-                    "--threshold", "1e9"]
+            runs = [["reconstruct", "--measurements", str(path), *fit]]
         elif kind == "key":
-            argv = ["walk", "--device", "identity4", "--input", "0101", "--shots", "20",
-                    "--key=" + data.draw(KEY_SPECS)]
+            runs = [["walk", "--device", "identity4", "--input", "0101", "--shots", "20",
+                     "--key=" + data.draw(KEY_SPECS)]]
         else:
-            argv = ["security", "--m", "2", "--attack-trials", "20",
-                    "--ensemble=" + data.draw(ENSEMBLE_SPECS)]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
-    assert code in (0, 2)
+            runs = [["security", "--m", "2", "--attack-trials", "20",
+                     "--ensemble=" + data.draw(ENSEMBLE_SPECS)]]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 2), argv

@@ -7,9 +7,9 @@ import pytest
 from qhewalk import reconstruct
 from qhewalk.cli import load_device
 from qhewalk.numerics import unitarize
-from qhewalk.reconstruct import (GaugeFixedUnitary, MeasurementNoise, MeasurementSet, all_pairs,
-                                 canonical_form, compare_to_truth, gauge_fix,
-                                 reconstruct_unitary, synthesize_measurements)
+from qhewalk.reconstruct import (MAX_MODES, GaugeFixedUnitary, MeasurementNoise, MeasurementSet,
+                                 all_pairs, canonical_form, compare_to_truth, reconstruct_unitary,
+                                 synthesize_measurements)
 from qhewalk.walk import classical_output_distribution, output_distribution
 from oracles import haar_unitary, jacobian_by_differences, lm_by_scipy
 
@@ -94,13 +94,21 @@ class TestSynthesize:
             with pytest.raises(ValueError, match="not unitary|non-finite entries"):
                 synthesize_measurements(bad)
             with pytest.raises(ValueError, match="not unitary|non-finite entries"):
-                gauge_fix(bad)
+                GaugeFixedUnitary(canonical_form(bad))
+
+    def test_mode_range_checked_before_the_pairs(self):
+        # C(100, 2)^2 pair settings would take gigabytes; one mode has no pair
+        for m in (1, MAX_MODES + 1, 100):
+            with pytest.raises(ValueError, match=rf"m must lie in \[2, {MAX_MODES}\].*got {m}"):
+                synthesize_measurements(np.eye(m))
+            with pytest.raises(ValueError, match=rf"m must lie in \[2, {MAX_MODES}\].*got {m}"):
+                reconstruct_unitary(MeasurementSet(np.eye(m), {}))
 
 
 class TestGauge:
     def test_fixed_point(self):
-        fixed = gauge_fix(U1).matrix
-        again = gauge_fix(fixed).matrix
+        fixed = GaugeFixedUnitary(canonical_form(U1)).matrix
+        again = canonical_form(fixed)
         assert np.max(np.abs(fixed - again)) <= 1e-14
         assert np.max(np.abs(fixed[0, :].imag)) <= 1e-14
         assert np.max(np.abs(fixed[:, 0].imag)) <= 1e-14
@@ -108,14 +116,14 @@ class TestGauge:
         assert fixed[:, 0].real.min() >= 0
 
     def test_identity(self):
-        assert np.max(np.abs(gauge_fix(np.eye(3)).matrix - np.eye(3))) == 0.0
+        assert np.max(np.abs(canonical_form(np.eye(3)) - np.eye(3))) == 0.0
 
     def test_recovers_original_after_random_phases(self):
         rng = make_rng(5)
-        target = gauge_fix(U1).matrix
+        target = canonical_form(U1)
         d1 = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
         d2 = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
-        recovered = gauge_fix((U1 * d1[:, None]) * d2[None, :]).matrix
+        recovered = canonical_form((U1 * d1[:, None]) * d2[None, :])
         assert np.max(np.abs(recovered - target)) <= 1e-12
 
     def test_type_validation(self):
@@ -171,9 +179,26 @@ class TestReconstruct:
     def test_inconsistent_measurements_fail_gracefully(self):
         meas = synthesize_measurements(U1)
         broken = {k: 0.93 for k in meas.visibilities}
-        report = reconstruct_unitary(MeasurementSet(meas.intensities, broken), seed=0)
+        report = reconstruct_unitary(MeasurementSet(meas.intensities, broken), seed=0,
+                                     residual_threshold=0.05)
         assert not report.success
-        assert report.residual > report.threshold
+        assert report.residual > 0.05
+
+    def test_low_counts_fail_without_an_exception(self):
+        # at 10 counts a setting, the damped LM system turns singular: a rejected step
+        meas = synthesize_measurements(load_device("u2").unitary, MeasurementNoise(10.0),
+                                       make_rng(0))
+        report = reconstruct_unitary(meas, seed=0)
+        assert not report.success
+        assert np.all(np.isfinite(report.unitary.matrix))
+
+    def test_rejects_an_all_zero_intensity_row_or_column(self):
+        meas = synthesize_measurements(U1)
+        for entries, message in ((np.s_[2, :], "output mode 2"), (np.s_[:, 2], "input mode 2")):
+            dark = meas.intensities.copy()
+            dark[entries] = 0.0
+            with pytest.raises(ValueError, match=f"intensities: every entry of {message} is zero"):
+                reconstruct_unitary(MeasurementSet(dark, meas.visibilities))
 
     def test_missing_anchored_pairs(self):
         meas = synthesize_measurements(U1)
