@@ -164,8 +164,19 @@ def parse_key_spec(spec: str, random_source):
     return key, echo
 
 
-def occupation_label(occ) -> str:
-    return "[" + ",".join(str(int(c)) for c in occ) + "]"
+def occupation_labels(occupations) -> list[str]:
+    """'[c,c,...]' label of each occupation, written digit by digit into one byte buffer.
+
+    Every count is a single digit (at most MAX_WALKERS photons).
+    """
+    from .walk import occupation_array, text_rows
+
+    states = occupation_array(occupations)
+    k, m = states.shape
+    codes = np.full((k, 2 * m + 1), ord(","), dtype=np.uint8)
+    codes[:, 0], codes[:, -1] = ord("["), ord("]")
+    codes[:, 1::2] = states + ord("0")
+    return text_rows(codes)
 
 
 def _json_text(report: dict) -> str:
@@ -207,6 +218,7 @@ def cmd_walk(args) -> tuple[str, int]:
     empirical_bits, collisions = postselect(result.occupation_counts)
     fidelity_occ = bhattacharyya_fidelity(exact_occ, empirical_occ)
     fidelity_bits = bhattacharyya_fidelity(exact_bits, empirical_bits)
+    exact_labels = occupation_labels(exact_occ)
 
     report = {
         "command": "walk",
@@ -221,12 +233,12 @@ def cmd_walk(args) -> tuple[str, int]:
         },
         "device": device_echo(device),
         "exact": {
-            "occupations": {occupation_label(o): float(p) for o, p in exact_occ.items()},
+            "occupations": dict(zip(exact_labels, exact_occ.values())),
             "bitstrings": {b: float(p) for b, p in exact_bits.items()},
             "collision_probability": float(collision_probability),
         },
         "empirical": {
-            "occupations": {occupation_label(o): float(p) for o, p in empirical_occ.items()},
+            "occupations": dict(zip(occupation_labels(empirical_occ), empirical_occ.values())),
             "bitstrings": {b: float(p) for b, p in empirical_bits.items()},
             "collisions": int(collisions),
             "collision_fraction": collisions / result.shots,
@@ -238,8 +250,8 @@ def cmd_walk(args) -> tuple[str, int]:
     }
     if args.csv:
         # occupation tuples sort like their labels: every count is a single digit
-        rows = [(occupation_label(o), repr(float(p)), repr(float(empirical_occ.get(o, 0.0))))
-                for o, p in sorted(exact_occ.items())]
+        rows = sorted((label, repr(p), repr(empirical_occ.get(o, 0.0)))
+                      for label, (o, p) in zip(exact_labels, exact_occ.items()))
         return _csv_text(["outcome", "exact", "empirical"], rows), 0
     return _json_text(report), 0
 
@@ -319,8 +331,7 @@ def cmd_security(args) -> tuple[str, int]:
                            holevo_poincare_limit, require_qubits, require_trials,
                            von_neumann_entropy)
 
-    with in_field("m"):
-        require_qubits(args.m)  # before the m-bit plaintext is built
+    require_qubits(args.m)  # before the m-bit plaintext is built; its message names m
     with in_field("attack_trials"):
         require_trials(args.attack_trials)
     ensemble = parse_ensemble(args.ensemble)
@@ -491,7 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     security.add_argument("--ensemble", default="linear:180",
                           help="linear:<d> or poincare:<d1>,<d2>,<d3> (default linear:180)")
     security.add_argument("--explicit", action="store_true",
-                          help="also report the Holevo quantity by definition (all 2^m densities)")
+                          help="also report the Holevo quantity by definition "
+                               "(one density per plaintext weight, m + 1 in all)")
     security.add_argument("--attack-trials", type=int, default=100000)
     security.add_argument("--seed", type=int, default=0)
     security.add_argument("--out")

@@ -26,7 +26,7 @@ def _as_square(matrix, name: str) -> np.ndarray:
     M = np.asarray(matrix, dtype=complex if np.iscomplexobj(matrix) else float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise ValueError(f"{name} contains non-finite entries")
     return M
 
@@ -66,7 +66,7 @@ def permanent(matrix) -> complex:
     if n > RYSER_MAX_DIM:
         raise ValueError(f"permanent limited to n <= {RYSER_MAX_DIM}, got {n}")
     select, signs = _subsets(n)
-    total = np.prod(M @ select.T, axis=0) @ signs
+    total = (M @ select.T).prod(axis=0) @ signs
     return complex(total if (n & 1) == 0 else -total)
 
 

@@ -6,7 +6,7 @@ creation-operator polynomials term by term (no permanents), and rotations
 come from explicit matrix exponentials.
 """
 import math
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import scipy.linalg
@@ -218,6 +218,45 @@ def symmetric_basis(m: int) -> np.ndarray:
     for idx in range(2 ** m):
         out[bin(idx).count("1"), idx] = 1.0
     return out / np.sqrt(out.sum(axis=1, keepdims=True))
+
+
+def occupation_states_by_loop(m: int, n: int) -> list:
+    """Every n-photon occupation of m modes, one multiset of modes at a time, in
+    combinations_with_replacement order."""
+    states = []
+    for modes in combinations_with_replacement(range(m), n):
+        occ = [0] * m
+        for j in modes:
+            occ[j] += 1
+        states.append(tuple(occ))
+    return states
+
+
+def occupation_label(occ) -> str:
+    """'[c,c,...]' label of one occupation, joined from its counts."""
+    return "[" + ",".join(str(int(c)) for c in occ) + "]"
+
+
+def postselect_by_dict(law: dict) -> tuple:
+    """(bit-string law, collision weight) of a law or tally, one outcome at a time.
+
+    Collision-free outcomes are renamed to bit-strings (walker = bit 0) and
+    renormalized; kept and collision weights are summed in the law's order.
+    """
+    kept = {"".join("0" if c == 1 else "1" for c in occ): w
+            for occ, w in law.items() if max(occ) <= 1}
+    collision = sum(w for occ, w in law.items() if max(occ) > 1)
+    total = sum(kept.values())
+    if not total:
+        return {}, collision
+    return {b: w / total for b, w in kept.items()}, collision
+
+
+def fidelity_by_dict(p: dict, q: dict) -> float:
+    """Bhattacharyya fidelity, one math.sqrt per key of the sorted union, capped at 1."""
+    keys = sorted(set(p) | set(q))
+    f = sum(math.sqrt(max(p.get(k, 0.0), 0.0) * max(q.get(k, 0.0), 0.0)) for k in keys)
+    return float(min(1.0, f))
 
 
 # ---------------------------------------------------------------------------

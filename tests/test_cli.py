@@ -129,6 +129,8 @@ def test_rejections_name_the_field_or_file(tmp_path):
     repeated.write_text(json.dumps(payload))
     wide = tmp_path / "identity41.json"  # 6 walkers in 41 modes: 9,366,819 outcomes
     wide.write_text(json.dumps(unitary_to_payload(np.eye(41))))
+    widest = tmp_path / "identity318.json"  # 2 walkers in 318 modes: 16,129,278 cells
+    widest.write_text(json.dumps(unitary_to_payload(np.eye(318))))
     # a fit needs a mode pair; 100 modes would synthesize C(100, 2)^2 pair settings
     one_mode, hundred_modes = tmp_path / "identity1.json", tmp_path / "identity100.json"
     one_mode.write_text(json.dumps(unitary_to_payload(np.eye(1))))
@@ -155,7 +157,7 @@ def test_rejections_name_the_field_or_file(tmp_path):
                "higher_order_rate:"),
               (("reconstruct", "--device", "u1", "--counts", "0"), "counts:"),
               (("reconstruct", "--device", "u1", "--threshold", "nan"), "threshold:"),
-              (("security", "--m", "9"), "m:"),
+              (("security", "--m", "9"), "error: m must lie in [1, 8]"),
               (("security", "--m", "2", "--attack-trials", "0"), "attack_trials:"),
               # above MAX_ATTACK_QUBITS, checked before the first draw
               (("attack", "--m", "10001"), "m must be <= 10000"),
@@ -165,10 +167,11 @@ def test_rejections_name_the_field_or_file(tmp_path):
               (("attack", "--m", "1000000000"), "m must be <= 10000"),
               (("attack", "--m", "1" + "0" * 400, "--asymptote-only"), "m must be a finite number"),
               (("attack", "--m", str(10 ** 20)), "m must be <= 10000"),
-              (("security", "--m", "1000000000"), "m:"),
-              (("security", "--m", str(10 ** 20)), "m:"),
-              (("security", "--m", "0"), "m:"),
+              (("security", "--m", "1000000000"), "error: m must lie in [1, 8]"),
+              (("security", "--m", str(10 ** 20)), "error: m must lie in [1, 8]"),
+              (("security", "--m", "0"), "error: m must lie in [1, 8]"),
               (("walk", "--device", str(wide), "--input", "0" * 6 + "1" * 35), "input:"),
+              (("walk", "--device", str(widest), "--input", "00" + "1" * 316), "16129278 cells"),
               (("reconstruct", "--measurements", str(repeated)),
                "'visibilities'[9] repeats the pairs of 'visibilities'[2]"),
               (("reconstruct", "--device", "u1", "--counts", "1e300"), "counts:"),

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2, chi2_contingency
 
-from qhewalk.cli import unitary_from_payload, unitary_to_payload
+from qhewalk.cli import occupation_labels, unitary_from_payload, unitary_to_payload
 from qhewalk.numerics import permanent, unitarize
 from qhewalk.polarization import linear_ensemble, sample_haar_key
 from qhewalk.walk import (MAX_SHOTS, NoiseModel, bhattacharyya_fidelity,
                           classical_output_distribution, occupation_states, occupation_to_bits,
-                          output_distribution, postselect, protocol_distribution, run_protocol,
-                          walker_pattern)
-from oracles import (counts_by_uniforms, distinguishable_distribution, haar_unitary,
-                     polynomial_distribution, total_variation)
+                          output_distribution, postselect, protocol_distribution, require_law_size,
+                          run_protocol, walker_pattern)
+from oracles import (counts_by_uniforms, distinguishable_distribution, fidelity_by_dict,
+                     haar_unitary, occupation_label, occupation_states_by_loop,
+                     polynomial_distribution, postselect_by_dict, total_variation)
 
 U1_PRINTED = np.array([
     [0.74, 0.38, 0.39, 0.40],
@@ -49,6 +50,23 @@ def test_occupation_states_count():
         assert len(states) == comb(m + n - 1, n)
         assert len(set(states)) == len(states)
         assert all(sum(s) == n for s in states)
+
+
+def test_occupation_states_match_the_loop_definition():
+    for m, n in ((1, 0), (1, 1), (3, 0), (4, 3), (8, 6), (41, 2)):
+        states = occupation_states(m, n)
+        assert states == occupation_states_by_loop(m, n), (m, n)
+        assert all(type(c) is int for s in states for c in s)
+
+
+def test_label_buffer_matches_the_per_tuple_label():
+    for m, n in ((1, 1), (4, 3), (8, 6), (41, 2)):
+        states = occupation_states(m, n)
+        assert occupation_labels(states) == [occupation_label(s) for s in states], (m, n)
+        # a tally lists only the outcomes it saw, in the law's order
+        assert occupation_labels(dict.fromkeys(states[::7], 1)) == [
+            occupation_label(s) for s in states[::7]], (m, n)
+    assert occupation_labels({}) == []
 
 
 class TestOutputDistribution:
@@ -130,6 +148,22 @@ class TestOutputDistribution:
         with pytest.raises(ValueError, match="at most 6 photons supported, got 7"):
             output_distribution(np.eye(8), (1,) * 7 + (0,))
 
+    def test_law_size_bound_at_each_corner(self):
+        # the largest accepted law for each walker count, then one mode more
+        for n, m in ((1, 4000), (2, 317), (3, 98), (4, 45), (5, 27), (6, 20)):
+            require_law_size(m, n)
+            with pytest.raises(ValueError, match=f"{n} photons in {m + 1} modes have"):
+                require_law_size(m + 1, n)
+        with pytest.raises(ValueError, match=re.escape(
+                "2 photons in 318 modes have 50721 outcomes of 318 counts, 16129278 cells; "
+                "at most 16000000")):
+            require_law_size(318, 2)
+        with pytest.raises(ValueError, match="6 photons in 21 modes have 230230 outcomes; at most 200000"):
+            require_law_size(21, 6)
+        # checked before enumeration: refusing 6 walkers in 41 modes builds nothing
+        with pytest.raises(ValueError, match="9366819 outcomes"):
+            output_distribution(np.eye(41), (1,) * 6 + (0,) * 35)
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="occupation length 3 != mode count 4"):
             output_distribution(U1, (1, 0, 0))
@@ -154,7 +188,8 @@ def per_target_law(U, source, interference):
 
 ROUTE_SOURCES = [(1, 0), (1, 1), (2, 0), (0, 1, 2), (1, 1, 1), (3, 0, 0),
                  (1, 0, 2, 1), (0, 4, 0, 0), (1, 1, 1, 1, 1, 0), (2, 2, 0, 1, 0, 1),
-                 (0, 0, 0, 6, 0, 0, 0), (1, 0, 1, 1, 0, 1, 1, 1), (2, 0, 0, 1, 0, 3, 0, 0)]
+                 (0, 0, 0, 6, 0, 0, 0), (1, 0, 1, 1, 0, 1, 1, 1), (2, 0, 0, 1, 0, 3, 0, 0),
+                 (2, 1, 0, 1, 1, 0, 1, 0), (3, 0, 0, 3, 0, 0, 0, 0), (0, 1, 1, 1, 0, 1, 1, 1)]
 # plus six bunched photons at m = 8, and 41 modes, where base-3 integer codes overflow int64
 CONVOLUTION_SOURCES = [*ROUTE_SOURCES, (0, 0, 0, 0, 0, 0, 0, 6), (1, 1) + (0,) * 39]
 
@@ -354,6 +389,41 @@ class TestPostselect:
     def test_nothing_kept(self):
         assert postselect({(2, 0): 5, (0, 2): 5}) == ({}, 10)
         assert postselect({(1, 1): 0.0, (2, 0): 1.0}) == ({}, 1.0)
+
+
+def _walk_laws_and_tallies():
+    """Exact laws and shot tallies of Haar 8-mode and 4-mode walks, noisy and not."""
+    rng = np.random.default_rng(90)
+    cases = []
+    for U, plaintext in ((haar_unitary(8, rng), "00100001"), (haar_unitary(8, rng), "01001000"),
+                         (U1, "1000"), (U1, "0110"), (np.eye(4), "0101")):
+        for noise in (NoiseModel(), NoiseModel(0.9, 0.01), NoiseModel(0.5, 0.2)):
+            result = run_protocol(U, plaintext, linear_ensemble(1).key(0), 20000, make_rng(9),
+                                  noise=noise)
+            cases.append((result.exact_occupations, result.empirical_occupations(),
+                          result.occupation_counts))
+    return cases
+
+
+HAND_LAWS = [{}, {(2, 0): 5, (0, 2): 5}, {(1, 1): 0.0, (2, 0): 1.0}, {(1, 0): 3},
+             {(1, 0, 1): 0.0, (0, 1, 1): 0.2, (1, 1, 0): 0.6, (0, 0, 2): 0.2},
+             {(0, 0, 0): 1.0}, {(1,): 1, (0,): 2}]
+
+
+def test_array_postselect_and_fidelity_equal_the_dict_definitions():
+    # == on values, key order and the type of the collision weight (an int for a tally)
+    cases = _walk_laws_and_tallies()
+    for law in HAND_LAWS + [x for case in cases for x in case]:
+        ours, ref = postselect(law), postselect_by_dict(law)
+        assert ours == ref and list(ours[0]) == list(ref[0]), law
+        assert type(ours[1]) is type(ref[1])
+    for exact, empirical, counts in cases:
+        pairs = [(exact, empirical), (postselect(exact)[0], postselect(counts)[0]),
+                 (exact, {}), (empirical, exact)]
+        for p, q in pairs:
+            assert bhattacharyya_fidelity(p, q) == fidelity_by_dict(p, q)
+    for p, q in (({}, {}), ({"a": 1.0}, {"b": 1.0}), ({"a": -0.1, "b": 1.1}, {"a": 0.5, "b": 0.5})):
+        assert bhattacharyya_fidelity(p, q) == fidelity_by_dict(p, q)
 
 
 class TestBhattacharyya:
