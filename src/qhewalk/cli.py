@@ -33,7 +33,7 @@ os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL
 
 import numpy as np  # noqa: E402
 
-from .numerics import finite_number, unitarize  # noqa: E402
+from .numerics import finite_grid, positive_int, unitarize  # noqa: E402
 
 BUILTIN_DEVICES = ("identity4", "u1", "u2")
 ATTACK_CURVE_D = (2, 3, 4, 6, 12)
@@ -80,32 +80,15 @@ def read_json(path):
 def unitary_to_payload(U) -> dict:
     """Serialize a mode unitary to the device-file JSON structure."""
     M = np.asarray(U, dtype=complex)
-    return {
-        "m": int(M.shape[0]),
-        "unitary": [[[float(z.real), float(z.imag)] for z in row] for row in M],
-    }
+    return {"m": int(M.shape[0]), "unitary": np.stack([M.real, M.imag], axis=-1).tolist()}
 
 
 def unitary_from_payload(payload) -> np.ndarray:
-    """Parse and validate the device-file JSON structure (row = output mode)."""
+    """Complex matrix of the device-file JSON structure (row = output mode), read bit for bit."""
     if not isinstance(payload, dict) or "m" not in payload or "unitary" not in payload:
         raise ValueError("device payload must be an object with 'm' and 'unitary'")
-    m = payload["m"]
-    rows = payload["unitary"]
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError(f"'m' must be a positive integer, got {m!r}")
-    if not isinstance(rows, list) or len(rows) != m:
-        raise ValueError(f"'unitary' must be a list of {m} rows")
-    out = np.zeros((m, m), dtype=complex)
-    for j, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != m:
-            raise ValueError(f"row {j} must have {m} entries")
-        for i, cell in enumerate(row):
-            field = f"'unitary' entry ({j},{i})"
-            if not isinstance(cell, list) or len(cell) != 2:
-                raise ValueError(f"{field} must be [re, im] numbers")
-            out[j, i] = complex(*(finite_number(v, field) for v in cell))
-    return out
+    m = positive_int(payload["m"], "'m'")
+    return finite_grid(payload["unitary"], (m, m, 2), "'unitary'").view(complex)[..., 0]
 
 
 def load_device(name_or_path: str) -> Device:
@@ -198,12 +181,13 @@ def cmd_walk(args) -> tuple[str, int]:
     from .walk import NoiseModel, bhattacharyya_fidelity, postselect, require_law_size, run_protocol
 
     rng = make_rng(args.seed)
-    device = load_device(args.device)
     with in_field("input"):
         bits = as_bits(args.input)
+        require_law_size(len(bits), bits.count(0))  # one walker per 0 bit; before the device is read
+    device = load_device(args.device)
+    with in_field("input"):
         if len(bits) != device.m:
             raise ValueError(f"plaintext length {len(bits)} != mode count {device.m}")
-        require_law_size(device.m, bits.count(0))  # one walker per 0 bit
     key, key_echo = parse_key_spec(args.key, rng)
     with in_field("visibility"):
         noise = NoiseModel(args.visibility)
@@ -214,11 +198,14 @@ def cmd_walk(args) -> tuple[str, int]:
 
     exact_occ = result.exact_occupations
     empirical_occ = result.empirical_occupations()
+    exact_labels = occupation_labels(exact_occ)
+    if args.csv:
+        # occupation tuples sort like their labels: every count is a single digit
+        rows = sorted((label, repr(p), repr(empirical_occ.get(o, 0.0)))
+                      for label, (o, p) in zip(exact_labels, exact_occ.items()))
+        return _csv_text(["outcome", "exact", "empirical"], rows), 0
     exact_bits, collision_probability = postselect(exact_occ)
     empirical_bits, collisions = postselect(result.occupation_counts)
-    fidelity_occ = bhattacharyya_fidelity(exact_occ, empirical_occ)
-    fidelity_bits = bhattacharyya_fidelity(exact_bits, empirical_bits)
-    exact_labels = occupation_labels(exact_occ)
 
     report = {
         "command": "walk",
@@ -234,25 +221,21 @@ def cmd_walk(args) -> tuple[str, int]:
         "device": device_echo(device),
         "exact": {
             "occupations": dict(zip(exact_labels, exact_occ.values())),
-            "bitstrings": {b: float(p) for b, p in exact_bits.items()},
+            "bitstrings": exact_bits,
+            # with one walker the weight is sum([]) == 0, an int; the report prints 0.0
             "collision_probability": float(collision_probability),
         },
         "empirical": {
             "occupations": dict(zip(occupation_labels(empirical_occ), empirical_occ.values())),
-            "bitstrings": {b: float(p) for b, p in empirical_bits.items()},
-            "collisions": int(collisions),
+            "bitstrings": empirical_bits,
+            "collisions": collisions,
             "collision_fraction": collisions / result.shots,
         },
         "fidelity": {
-            "occupations": float(fidelity_occ),
-            "bitstrings": float(fidelity_bits),
+            "occupations": bhattacharyya_fidelity(exact_occ, empirical_occ),
+            "bitstrings": bhattacharyya_fidelity(exact_bits, empirical_bits),
         },
     }
-    if args.csv:
-        # occupation tuples sort like their labels: every count is a single digit
-        rows = sorted((label, repr(p), repr(empirical_occ.get(o, 0.0)))
-                      for label, (o, p) in zip(exact_labels, exact_occ.items()))
-        return _csv_text(["outcome", "exact", "empirical"], rows), 0
     return _json_text(report), 0
 
 
@@ -268,8 +251,7 @@ def cmd_attack(args) -> tuple[str, int]:
         with in_field("d"):
             # every key set is checked before the first trial is drawn
             ds = [linear_ensemble(d).polar_size for d in parse_grid(args.d)]
-    with in_field("trials"):
-        require_trials(args.trials)
+    require_trials(args.trials)
     rng = make_rng(args.seed)
     plaintext = None
     if not args.asymptote_only or args.plaintext is not None:
@@ -443,8 +425,8 @@ def cmd_reconstruct(args) -> tuple[str, int]:
         report["comparison"] = {
             "max_amplitude_error": float(np.max(amp_err)),
             "max_phase_error_rad": float(np.max(phase_err)),
-            "amplitude_errors": [[float(v) for v in row] for row in amp_err],
-            "phase_errors": [[float(v) for v in row] for row in phase_err],
+            "amplitude_errors": amp_err.tolist(),
+            "phase_errors": phase_err.tolist(),
         }
     return _json_text(report), 0 if result.success else 3
 

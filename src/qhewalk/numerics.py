@@ -6,6 +6,7 @@ re-unitarization) funnels through the routines in this module.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple
@@ -41,6 +42,37 @@ def finite_number(value, field: str) -> float:
         if math.isfinite(number):
             return number
     raise ValueError(f"{field} must be a finite number, got {value!r}")
+
+
+def positive_int(value, field: str) -> int:
+    """value if it is an int (not a bool) >= 1; else a ValueError naming field."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{field} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def finite_grid(value, shape: tuple[int, ...], field: str) -> np.ndarray:
+    """value, nested lists of the given shape, as a float array if every leaf passes finite_number.
+
+    One vectorized pass checks the grid; only a bad one is walked, to name its first
+    list of the wrong length or bad leaf as field[j][i]..."""
+    with suppress(TypeError, ValueError, OverflowError):
+        cells = np.array(value, dtype=object)
+        grid = cells.astype(float)
+        if cells.shape == shape and np.isfinite(grid).all() and all(
+                issubclass(t, (int, float)) and t is not bool for t in set(map(type, cells.flat))):
+            return grid
+    _grid_fault(value, shape, field)
+
+
+def _grid_fault(value, shape, field):
+    """Raise the ValueError naming the first list of the wrong length or bad leaf in value."""
+    if not shape:
+        return finite_number(value, field)
+    if not isinstance(value, list) or len(value) != shape[0]:
+        raise ValueError(f"{field} must be a list of {shape[0]} entries")
+    for i, entry in enumerate(value):
+        _grid_fault(entry, shape[1:], f"{field}[{i}]")
 
 
 def require_unitary(U) -> np.ndarray:

@@ -77,11 +77,6 @@ def rotation_matrices(alpha, beta, gamma) -> np.ndarray:
     return out
 
 
-def rotation_matrix(key: PolarizationKey) -> np.ndarray:
-    """2x2 unitary of the key; determinant 1 by construction."""
-    return rotation_matrices(key.alpha, key.beta, key.gamma)
-
-
 # a density builds (polar grid) x 2^m real arrays: about 205 MB at this grid and m = 8
 MAX_POLAR_GRID = 65536
 
@@ -190,7 +185,7 @@ def sample_haar_key(random_source, d1: int, d2: int, d3: int) -> PolarizationKey
 
 def encrypt(plaintext, key: PolarizationKey) -> list[Polarization]:
     """Rotate each plaintext qubit: bit 0 -> R|H>, bit 1 -> R|V>."""
-    R = rotation_matrix(key)
+    R = rotation_matrices(key.alpha, key.beta, key.gamma)
     states = []
     for bit in as_bits(plaintext):
         col = R[:, bit]
@@ -200,6 +195,6 @@ def encrypt(plaintext, key: PolarizationKey) -> list[Polarization]:
 
 def projection_probability(state: Polarization, key: PolarizationKey) -> float:
     """Probability that a key-basis measurement of `state` yields bit 0."""
-    R = rotation_matrix(key)
+    R = rotation_matrices(key.alpha, key.beta, key.gamma)
     amp = np.vdot(R[:, 0], state.vector)   # <H| R^dagger |state>
     return float(min(1.0, abs(amp) ** 2))

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .numerics import finite_number, require_unitary, unitarize
+from .numerics import finite_grid, finite_number, positive_int, require_unitary, unitarize
 
 MAX_MODES = 8
 # far below numpy's Poisson limit (about 9.2e18 expected counts)
@@ -83,7 +83,7 @@ class MeasurementSet:
         return {
             "m": self.mode_count,
             "counts_scale": self.counts_scale,
-            "intensities": [[float(v) for v in row] for row in self.intensities],
+            "intensities": self.intensities.tolist(),
             "visibilities": [
                 {"inputs": [i, i2], "outputs": [j, j2], "value": float(v)}
                 for ((i, i2), (j, j2)), v in sorted(self.visibilities.items())
@@ -95,20 +95,14 @@ class MeasurementSet:
         if not isinstance(payload, dict):
             raise ValueError("measurement payload must be an object")
         try:
-            m = payload["m"]
+            m = positive_int(payload["m"], "'m'")
             raw_int = payload["intensities"]
             raw_vis = payload["visibilities"]
         except KeyError as exc:
             raise ValueError(f"missing field: {exc}") from None
-        if isinstance(m, bool) or not isinstance(m, int):
-            raise ValueError(f"'m' must be an integer, got {m!r}")
         if not isinstance(raw_vis, list):
             raise ValueError("'visibilities' must be a list of records")
-        if not (isinstance(raw_int, list) and len(raw_int) == m
-                and all(isinstance(row, list) and len(row) == m for row in raw_int)):
-            raise ValueError(f"'intensities' must be a {m}x{m} array of numbers")
-        I = np.array([[finite_number(v, f"'intensities'[{j}][{i}]")
-                       for i, v in enumerate(row)] for j, row in enumerate(raw_int)]).reshape(m, m)
+        I = finite_grid(raw_int, (m, m), "'intensities'")
         vis = {}
         for n, rec in enumerate(raw_vis):
             field = f"'visibilities'[{n}]"
@@ -163,11 +157,8 @@ def all_pairs(m: int) -> list[tuple[Pair, Pair]]:
 
 
 def _pair_indices(pairs):
-    pi = np.array([p[0][0] for p in pairs])
-    pi2 = np.array([p[0][1] for p in pairs])
-    pj = np.array([p[1][0] for p in pairs])
-    pj2 = np.array([p[1][1] for p in pairs])
-    return pi, pi2, pj, pj2
+    """(i, i2, j, j2) index arrays of the ((i, i2), (j, j2)) pairs."""
+    return np.array(pairs, dtype=int).reshape(-1, 4).T
 
 
 def _interfering(M, idx):
@@ -176,13 +167,11 @@ def _interfering(M, idx):
     return np.abs(M[pj, pi] * M[pj2, pi2] + M[pj2, pi] * M[pj, pi2]) ** 2
 
 
-def _coincidences(M, idx):
-    """Interfering (C_min) and distinguishable (C_max) coincidences of the pairs
-    in idx = _pair_indices(pairs); C_max depends on the amplitudes |M| only."""
+def _distinguishable(M, idx):
+    """Distinguishable coincidences (C_max) of the pairs in idx; they depend on |M| only."""
     pi, pi2, pj, pj2 = idx
     A2 = np.abs(M) ** 2
-    cmax = A2[pj, pi] * A2[pj2, pi2] + A2[pj2, pi] * A2[pj, pi2]
-    return _interfering(M, idx), cmax
+    return A2[pj, pi] * A2[pj2, pi2] + A2[pj2, pi] * A2[pj, pi2]
 
 
 def _visibilities(cmin, cmax):
@@ -214,7 +203,8 @@ def synthesize_measurements(U, noise: MeasurementNoise = MeasurementNoise(),
     require_modes(M.shape[0])  # before the C(m, 2)^2 pair settings are built
     pairs = all_pairs(M.shape[0])
     intensities = np.abs(M) ** 2
-    cmin, cmax = _coincidences(M, _pair_indices(pairs))
+    idx = _pair_indices(pairs)
+    cmin, cmax = _interfering(M, idx), _distinguishable(M, idx)
     if noise.distinguishability < 1.0:
         cmin = cmax - noise.distinguishability * (cmax - cmin)
     if noise.counts_scale is not None:
@@ -379,7 +369,7 @@ def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
         return np.concatenate([G.real.ravel(), G.imag.ravel()])
 
     # the phases leave the amplitudes, and so C_max, as they are
-    cmax = _coincidences(A, idx)[1]
+    cmax = _distinguishable(A, idx)
     jacobian = _phase_jacobian(A, idx, cmax)
 
     def residuals(phi):
@@ -415,7 +405,7 @@ def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
 
     recovered = unitarize(_with_phases(A, best_x))
 
-    final = _visibilities(*_coincidences(recovered, idx)) - vmeas
+    final = _visibilities(_interfering(recovered, idx), _distinguishable(recovered, idx)) - vmeas
     residual = float(np.sqrt(np.mean(final ** 2)))
     return ReconstructionReport(
         success=residual <= residual_threshold,

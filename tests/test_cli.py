@@ -96,7 +96,7 @@ class TestDeviceFiles:
                    "--input", "0", "--shots", "10"), field)
                  for k, (payload, field) in enumerate((
                      ({"m": True, "unitary": [[[1, 0]]]}, "'m'"),
-                     ({"m": 1, "unitary": [[[True, False]]]}, "'unitary' entry")))]
+                     ({"m": 1, "unitary": [[[True, False]]]}, "'unitary'[0][0][0]")))]
         # work bounds: rejected before the arrays they would need are allocated
         cases += [(("security", "--m", "8", "--ensemble", "linear:5000000"), "ensemble"),
                   (("security", "--m", "8", "--ensemble", "poincare:3,5000000,1"), "ensemble"),
@@ -172,6 +172,9 @@ def test_rejections_name_the_field_or_file(tmp_path):
               (("security", "--m", "0"), "error: m must lie in [1, 8]"),
               (("walk", "--device", str(wide), "--input", "0" * 6 + "1" * 35), "input:"),
               (("walk", "--device", str(widest), "--input", "00" + "1" * 316), "16129278 cells"),
+              # the law is refused before the device is read: this file does not exist
+              (("walk", "--device", str(tmp_path / "absent.json"), "--input", "00" + "1" * 316),
+               "16129278 cells"),
               (("reconstruct", "--measurements", str(repeated)),
                "'visibilities'[9] repeats the pairs of 'visibilities'[2]"),
               (("reconstruct", "--device", "u1", "--counts", "1e300"), "counts:"),
@@ -184,8 +187,9 @@ def test_rejections_name_the_field_or_file(tmp_path):
                str(tmp_path / "missing"))]
     # above MAX_TRIALS, and far beyond numpy's int64 range
     for trials in (str(MAX_TRIALS + 1), str(10 ** 19)):
-        cases += [(("attack", "--m", "1", "--d", "2", "--trials", trials), "trials:"),
-                  (("attack", "--m", "4", "--asymptote-only", "--trials", trials), "trials:"),
+        cases += [(("attack", "--m", "1", "--d", "2", "--trials", trials), "error: trials must be"),
+                  (("attack", "--m", "4", "--asymptote-only", "--trials", trials),
+                   "error: trials must be"),
                   (("security", "--m", "2", "--attack-trials", trials), "attack_trials:")]
     cases += [((*argv, "--seed", "-1"), "seed")
               for argv in (walk, ("attack", "--m", "2"), ("security", "--m", "2"),

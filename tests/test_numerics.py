@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from importlib import resources
 
 import numpy as np
@@ -7,7 +9,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from qhewalk.cli import unitary_from_payload
-from qhewalk.numerics import (RYSER_MAX_DIM, hermitian_eig, permanent, permanent_naive, unitarize)
+from qhewalk.numerics import (RYSER_MAX_DIM, finite_grid, hermitian_eig, permanent,
+                              permanent_naive, unitarize)
 from oracles import haar_unitary, permanent_by_definition, polar_factor_by_eigh
 
 U1_PRINTED = np.array([
@@ -197,3 +200,73 @@ class TestUnitarize:
         M = np.diag([1.0, 1.0, 1e-6]) @ Q
         assert np.max(np.abs(unitarize(M) - Q)) <= 1e-13
         assert np.max(np.abs(polar_factor_by_eigh(M) - Q)) <= 1e-9
+
+
+def nested(leaves, shape):
+    """The leaves, in order, as nested lists of the given shape (the objects themselves)."""
+    cells = np.empty(len(leaves), dtype=object)
+    cells[:] = leaves
+    return cells.reshape(shape).tolist()
+
+
+class TestFiniteGrid:
+    @settings(deadline=None, max_examples=200)
+    @given(st.integers(1, 5), st.sampled_from([(), (2,)]), st.data())
+    def test_matches_numpy_on_valid_grids(self, m, tail, data):
+        # the one-pass reader against numpy's own conversion, bit for bit; ints up to
+        # 2^1000 and every finite float, -0.0 and subnormals included
+        shape = (m, m, *tail)
+        leaf = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.integers(-2 ** 1000, 2 ** 1000))
+        size = int(np.prod(shape))
+        value = nested(data.draw(st.lists(leaf, min_size=size, max_size=size)), shape)
+        grid = finite_grid(value, shape, "'g'")
+        assert grid.dtype == np.float64 and grid.shape == shape
+        assert grid.tobytes() == np.array(value, dtype=float).tobytes()
+
+    def test_device_reads_each_pair_as_complex_bit_for_bit(self):
+        # the per-entry complex(re, im) route; re + 1j * im would flip a -0.0 imaginary part
+        rng = np.random.default_rng(23)
+        pairs = [[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [5e-324, -5e-324], [1, -3]]
+        pairs += rng.standard_normal((20, 2)).tolist()
+        for m in (1, 2, 5):
+            rows = [[pairs[(j * m + i) % len(pairs)] for i in range(m)] for j in range(m)]
+            U = unitary_from_payload({"m": m, "unitary": rows})
+            ref = np.array([[complex(*cell) for cell in row] for row in rows])
+            assert U.shape == (m, m) and U.tobytes() == ref.tobytes()
+
+    def test_each_fault_names_its_index(self):
+        good = [[[1.0, 0], [0.5, -0.0]], [[2, 3.0], [4, 5]]]
+        leaves = (True, False, "1.0", None, math.nan, math.inf, -math.inf, 10 ** 400,
+                  [1.0], {}, [])
+        for bad in leaves:
+            value = nested([x for row in good for cell in row for x in cell], (2, 2, 2))
+            value[1][0][1] = bad
+            with pytest.raises(ValueError, match=re.escape(
+                    f"'g'[1][0][1] must be a finite number, got {bad!r}")):
+                finite_grid(value, (2, 2, 2), "'g'")
+        for value, index in (
+                ([good[0]], ""),                           # too few rows
+                (good + [good[0]], ""),                    # too many rows
+                ({"0": good[0], "1": good[1]}, ""),        # an object, not a list
+                ("ab", ""),                                # a string, not a list
+                ([good[0], [[2, 3.0]]], "[1]"),            # a short row
+                ([good[0], 7], "[1]"),                     # a number for a row
+                ([good[0], [[2, 3.0], [4]]], "[1][1]"),    # a short [re, im] pair
+                ([good[0], [[2, 3.0], [4, 5, 6]]], "[1][1]"),
+                ([good[0], [[2, 3.0], 4]], "[1][1]")):     # a number for a pair
+            with pytest.raises(ValueError, match=re.escape(
+                    f"'g'{index} must be a list of 2 entries")):
+                finite_grid(value, (2, 2, 2), "'g'")
+
+    def test_the_first_fault_in_order_is_named(self):
+        # three faults, each named in document order once the ones before it are mended
+        value = [[[1, 0], [0, True]], [[None, 0], [0]]]
+        with pytest.raises(ValueError, match=re.escape("'g'[0][1][1] must be a finite number")):
+            finite_grid(value, (2, 2, 2), "'g'")
+        value[0][1][1] = 1
+        with pytest.raises(ValueError, match=re.escape("'g'[1][0][0] must be a finite number")):
+            finite_grid(value, (2, 2, 2), "'g'")
+        value[1][0][0] = 1
+        with pytest.raises(ValueError, match=re.escape("'g'[1][1] must be a list of 2 entries")):
+            finite_grid(value, (2, 2, 2), "'g'")

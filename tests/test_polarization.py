@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from qhewalk.polarization import (Polarization, PolarizationKey, as_bits, encrypt,
                                   linear_ensemble, poincare_ensemble,
-                                  projection_probability, rotation_matrices, rotation_matrix,
+                                  projection_probability, rotation_matrices,
                                   sample_haar_key)
 from oracles import A, D, H, V, euler_rotation_expm, measure_in_key_basis
 
@@ -15,7 +15,7 @@ def test_rotation_matches_matrix_exponential():
         alpha = rng.uniform(0, 2 * np.pi)
         beta = rng.uniform(0, np.pi)
         gamma = rng.uniform(0, 2 * np.pi)
-        ours = rotation_matrix(PolarizationKey(alpha, beta, gamma))
+        ours = rotation_matrices(alpha, beta, gamma)
         ref = euler_rotation_expm(alpha, beta, gamma)
         assert np.max(np.abs(ours - ref)) <= 1e-12
 
@@ -24,7 +24,7 @@ def test_rotation_matches_matrix_exponential():
 @given(st.floats(0, 2 * np.pi, exclude_max=True), st.floats(0, np.pi),
        st.floats(0, 2 * np.pi, exclude_max=True))
 def test_rotation_is_special_unitary(alpha, beta, gamma):
-    R = rotation_matrix(PolarizationKey(alpha, beta, gamma))
+    R = rotation_matrices(alpha, beta, gamma)
     assert np.max(np.abs(R.conj().T @ R - np.eye(2))) <= 1e-12
     assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
 
@@ -33,7 +33,7 @@ def test_relative_phase_sits_on_alpha():
     # the defining convention: R|H> = cos(b/2)|H> + e^{i a} sin(b/2)|V> up to
     # a global phase, so the alpha angle alone controls the relative phase
     alpha, beta, gamma = 0.9, 1.1, 2.3
-    col = rotation_matrix(PolarizationKey(alpha, beta, gamma))[:, 0]
+    col = rotation_matrices(alpha, beta, gamma)[:, 0]
     col = col / (col[0] / abs(col[0]))  # strip global phase
     assert col[0].real == pytest.approx(np.cos(beta / 2), abs=1e-12)
     ratio = col[1] / abs(col[1])
@@ -44,7 +44,7 @@ def test_rotation_matrices_broadcast():
     alphas = np.array([0.0, 1.0])
     out = rotation_matrices(alphas, 0.5, 0.25)
     assert out.shape == (2, 2, 2)
-    single = rotation_matrix(PolarizationKey(1.0, 0.5, 0.25))
+    single = rotation_matrices(1.0, 0.5, 0.25)
     assert np.max(np.abs(out[1] - single)) <= 1e-15
 
 
@@ -52,14 +52,14 @@ class TestLinearKey:
     def test_small_angle_branch(self):
         key = linear_ensemble(6).key(1)  # theta = pi/6 <= pi/2
         theta = np.pi / 6
-        R = rotation_matrix(key)
+        R = rotation_matrices(key.alpha, key.beta, key.gamma)
         ref = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         assert np.max(np.abs(R - ref)) <= 1e-12
 
     def test_fold_over_branch(self):
         key = linear_ensemble(6).key(5)  # theta = 5pi/6 > pi/2 needs the folded Euler triple
         theta = 5 * np.pi / 6
-        R = rotation_matrix(key)
+        R = rotation_matrices(key.alpha, key.beta, key.gamma)
         ref = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         assert np.max(np.abs(R - ref)) <= 1e-12
         assert 0.0 <= key.beta <= np.pi
@@ -68,12 +68,14 @@ class TestLinearKey:
         d = 24
         for k in range(d):
             theta = k * np.pi / d
-            R = rotation_matrix(linear_ensemble(d).key(k))
+            key = linear_ensemble(d).key(k)
+            R = rotation_matrices(key.alpha, key.beta, key.gamma)
             ref = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
             assert np.max(np.abs(R - ref)) <= 1e-12
 
     def test_identity_key(self):
-        assert np.max(np.abs(rotation_matrix(linear_ensemble(1).key(0)) - np.eye(2))) == 0.0
+        key = linear_ensemble(1).key(0)
+        assert np.max(np.abs(rotation_matrices(key.alpha, key.beta, key.gamma) - np.eye(2))) == 0.0
 
     def test_range_errors(self):
         with pytest.raises(ValueError, match="outside ensemble linear:4"):
@@ -151,7 +153,8 @@ def test_every_grid_key_sits_at_its_polar_angle():
             key = ens.key(k)
             folded = theta[k] if 2 * k <= d else np.pi - theta[k]
             assert key.beta == 2 * folded
-            assert np.max(np.abs(rotation_matrix(key) - real_rotation(theta[k]))) <= 1e-12
+            R = rotation_matrices(key.alpha, key.beta, key.gamma)
+            assert np.max(np.abs(R - real_rotation(theta[k]))) <= 1e-12
             assert ens.polar_angles(k) == theta[k]
     for dims in ((5, 9, 3), (8, 1, 8)):
         ens = poincare_ensemble(*dims)
@@ -162,7 +165,8 @@ def test_every_grid_key_sits_at_its_polar_angle():
             # alpha and gamma only add phases: strip them and the real rotation remains
             R = rotation_matrices(0.0, key.beta, 0.0)
             assert np.max(np.abs(R - real_rotation(theta[k2]))) <= 1e-12
-            assert np.max(np.abs(rotation_matrix(key) - rotation_matrices(key.alpha, 0.0, 0.0)
+            assert np.max(np.abs(rotation_matrices(key.alpha, key.beta, key.gamma)
+                                 - rotation_matrices(key.alpha, 0.0, 0.0)
                                  @ R @ rotation_matrices(0.0, 0.0, key.gamma))) <= 1e-12
 
 
@@ -178,7 +182,7 @@ def test_linear_keys_fold_on_the_index():
             else:
                 assert key.alpha == key.gamma == (0.0 if 2 * k < d else np.pi), (k, d)
             assert 0.0 <= key.beta <= np.pi
-            R = rotation_matrix(key)
+            R = rotation_matrices(key.alpha, key.beta, key.gamma)
             assert np.max(np.abs(R - real_rotation(ens.polar_angles(k)))) <= 1e-12, (k, d)
 
 

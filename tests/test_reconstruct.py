@@ -354,7 +354,7 @@ class TestPayload:
             (dict(good, visibilities=[dict(record, inputs=[0.2, 1.7])]),
              "'visibilities'[0] 'inputs' and 'outputs' must be integer pairs"),
             (dict(good, intensities=[["0.5", 0.5], [0.5, 0.5]]),
-             "'intensities'[0][0] must be a finite number"),
+             "'intensities'[0][0] must be a finite number, got '0.5'"),
             (dict(good, visibilities=[dict(record, value="1.0")]),
              "'visibilities'[0] 'value' must be a finite number"),
             (dict(good, visibilities=[dict(record, value=True)]),
@@ -362,7 +362,10 @@ class TestPayload:
             ([], "measurement payload must be an object"),
             ({}, "missing field: 'm'"),
             ({"m": 2, "intensities": [[1, 0]], "visibilities": []},
-             "'intensities' must be a 2x2 array"),
+             "'intensities' must be a list of 2 entries"),
+            # device and measurement files share one rule for 'm'
+            ({"m": 0, "intensities": [], "visibilities": []}, "'m' must be an integer >= 1, got 0"),
+            (dict(good, m=True), "'m' must be an integer >= 1, got True"),
             ({"m": 2, "intensities": good["intensities"], "visibilities": [{"inputs": [0]}]},
              "'visibilities'[0] must have 'inputs', 'outputs' and 'value'"),
             (dict(good, intensities=[[10 ** 400, 0], [0, 1]]),

@@ -450,16 +450,17 @@ class TestDevicePayload:
         for corrupt, message in (
             ({}, "device payload must be an object with 'm' and 'unitary'"),
             ({"m": 2}, "device payload must be an object with 'm' and 'unitary'"),
-            ({"m": 0, "unitary": []}, "'m' must be a positive integer, got 0"),
-            ({"m": 2, "unitary": [[[1, 0]]]}, "'unitary' must be a list of 2 rows"),
+            ({"m": 0, "unitary": []}, "'m' must be an integer >= 1, got 0"),
+            ({"m": 2, "unitary": [[[1, 0]]]}, "'unitary' must be a list of 2 entries"),
             ({"m": 2, "unitary": [[[1, 0], [0]], [[0, 0], [1, 0]]]},
-             "'unitary' entry (0,1) must be [re, im] numbers"),
+             "'unitary'[0][1] must be a list of 2 entries"),
             ({"m": 2, "unitary": [[[1, 0], ["x", 0]], [[0, 0], [1, 0]]]},
-             "'unitary' entry (0,1) must be a finite number"),
-            ({"m": True, "unitary": [[[1, 0]]]}, "'m' must be a positive integer, got True"),
-            ({"m": 1, "unitary": [[[True, False]]]}, "'unitary' entry (0,0) must be a finite number"),
+             "'unitary'[0][1][0] must be a finite number, got 'x'"),
+            ({"m": True, "unitary": [[[1, 0]]]}, "'m' must be an integer >= 1, got True"),
+            ({"m": 1, "unitary": [[[True, False]]]},
+             "'unitary'[0][0][0] must be a finite number, got True"),
             ({"m": 1, "unitary": [[[10 ** 400, 0]]]},
-             "'unitary' entry (0,0) must be a finite number"),
+             "'unitary'[0][0][0] must be a finite number"),
         ):
             with pytest.raises(ValueError, match=re.escape(message)):
                 unitary_from_payload(corrupt)
