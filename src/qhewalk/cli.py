@@ -147,21 +147,6 @@ def parse_key_spec(spec: str, random_source):
     return key, echo
 
 
-def occupation_labels(occupations) -> list[str]:
-    """'[c,c,...]' label of each occupation, written digit by digit into one byte buffer.
-
-    Every count is a single digit (at most MAX_WALKERS photons).
-    """
-    from .walk import occupation_array, text_rows
-
-    states = occupation_array(occupations)
-    k, m = states.shape
-    codes = np.full((k, 2 * m + 1), ord(","), dtype=np.uint8)
-    codes[:, 0], codes[:, -1] = ord("["), ord("]")
-    codes[:, 1::2] = states + ord("0")
-    return text_rows(codes)
-
-
 def _json_text(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
@@ -178,7 +163,8 @@ def _csv_text(header, rows) -> str:
 
 def cmd_walk(args) -> tuple[str, int]:
     from .polarization import as_bits
-    from .walk import NoiseModel, bhattacharyya_fidelity, postselect, require_law_size, run_protocol
+    from .walk import (NoiseModel, bhattacharyya_fidelity, occupation_labels, postselect,
+                       require_law_size, run_protocol)
 
     rng = make_rng(args.seed)
     with in_field("input"):
@@ -191,21 +177,20 @@ def cmd_walk(args) -> tuple[str, int]:
     key, key_echo = parse_key_spec(args.key, rng)
     with in_field("visibility"):
         noise = NoiseModel(args.visibility)
-    with in_field("higher_order_rate"):
-        noise = replace(noise, higher_order_rate=args.higher_order_rate)
+    noise = replace(noise, higher_order_rate=args.higher_order_rate)  # its message names the field
 
     result = run_protocol(device.unitary, bits, key, args.shots, rng, noise=noise)
 
-    exact_occ = result.exact_occupations
-    empirical_occ = result.empirical_occupations()
-    exact_labels = occupation_labels(exact_occ)
+    # the law labelled once; the tally's outcomes are a subsequence of the law's, in its order
+    exact_occ, counts = result.exact_occupations, result.occupation_counts
+    labels = occupation_labels(exact_occ)
+    exact = dict(zip(labels, exact_occ.values()))
+    empirical = {label: counts[o] / result.shots for label, o in zip(labels, exact_occ) if o in counts}
     if args.csv:
-        # occupation tuples sort like their labels: every count is a single digit
-        rows = sorted((label, repr(p), repr(empirical_occ.get(o, 0.0)))
-                      for label, (o, p) in zip(exact_labels, exact_occ.items()))
+        rows = sorted((label, repr(p), repr(empirical.get(label, 0.0))) for label, p in exact.items())
         return _csv_text(["outcome", "exact", "empirical"], rows), 0
     exact_bits, collision_probability = postselect(exact_occ)
-    empirical_bits, collisions = postselect(result.occupation_counts)
+    empirical_bits, collisions = postselect(counts)
 
     report = {
         "command": "walk",
@@ -220,19 +205,20 @@ def cmd_walk(args) -> tuple[str, int]:
         },
         "device": device_echo(device),
         "exact": {
-            "occupations": dict(zip(exact_labels, exact_occ.values())),
+            "occupations": exact,
             "bitstrings": exact_bits,
             # with one walker the weight is sum([]) == 0, an int; the report prints 0.0
             "collision_probability": float(collision_probability),
         },
         "empirical": {
-            "occupations": dict(zip(occupation_labels(empirical_occ), empirical_occ.values())),
+            "occupations": empirical,
             "bitstrings": empirical_bits,
             "collisions": collisions,
             "collision_fraction": collisions / result.shots,
         },
         "fidelity": {
-            "occupations": bhattacharyya_fidelity(exact_occ, empirical_occ),
+            # labels sort like their tuples, so the sum runs in the same order
+            "occupations": bhattacharyya_fidelity(exact, empirical),
             "bitstrings": bhattacharyya_fidelity(exact_bits, empirical_bits),
         },
     }
@@ -296,22 +282,11 @@ def _attack_curve(m: int, ds, plaintext, trials: int, rng) -> list[dict]:
     return curve
 
 
-def _hamming_trace_distances(m: int, ensemble, rho0) -> dict:
-    """T(rho_00..0, rho with w trailing ones) for w = 1..min(3, m); rho0 is rho_00..0."""
-    from .security import encrypted_density, trace_distance
-
-    out = {}
-    for w in range(1, min(3, m) + 1):
-        x = "0" * (m - w) + "1" * w
-        out[f"hamming_{w}"] = float(trace_distance(rho0, encrypted_density(x, ensemble)))
-    return out
-
-
 def cmd_security(args) -> tuple[str, int]:
     from .polarization import parse_ensemble
     from .security import (encrypted_density, hidden_bits_linear_asymptotic, holevo,
                            holevo_poincare_limit, require_qubits, require_trials,
-                           von_neumann_entropy)
+                           trace_distance, von_neumann_entropy)
 
     require_qubits(args.m)  # before the m-bit plaintext is built; its message names m
     with in_field("attack_trials"):
@@ -320,7 +295,8 @@ def cmd_security(args) -> tuple[str, int]:
     rng = make_rng(args.seed)
     m = args.m
 
-    # each density and entropy once per report, whichever sections share it
+    # each density, entropy and distance set once per report, whichever sections share it;
+    # only rho_00..0 is read twice, so it alone is kept (at m = 8 a density is 0.5 MB)
     @cache
     def rho0(label):
         return encrypted_density("0" * m, parse_ensemble(label))
@@ -328,6 +304,13 @@ def cmd_security(args) -> tuple[str, int]:
     @cache
     def entropy(label):
         return von_neumann_entropy(rho0(label))
+
+    @cache
+    def distances(label):
+        """T(rho_00..0, rho with w trailing ones) for w = 1..min(3, m)."""
+        return {f"hamming_{w}": trace_distance(
+                    rho0(label), encrypted_density("0" * (m - w) + "1" * w, parse_ensemble(label)))
+                for w in range(1, min(3, m) + 1)}
 
     report = {
         "command": "security",
@@ -353,14 +336,10 @@ def cmd_security(args) -> tuple[str, int]:
 
     report["attack_curve"] = _attack_curve(m, ATTACK_CURVE_D, "0" * m, args.attack_trials, rng)
 
-    distances = _hamming_trace_distances(m, ensemble, rho0(ensemble.label))
-    report["trace_distances"] = distances
+    report["trace_distances"] = distances(ensemble.label)
     if m <= 6:
         # both candidate ensembles, recorded side by side
-        report["trace_distances_by_ensemble"] = {
-            label: distances if label == ensemble.label
-            else _hamming_trace_distances(m, parse_ensemble(label), rho0(label))
-            for label in HEDGE_ENSEMBLES}
+        report["trace_distances_by_ensemble"] = {label: distances(label) for label in HEDGE_ENSEMBLES}
     return _json_text(report), 0
 
 
@@ -379,9 +358,8 @@ def cmd_reconstruct(args) -> tuple[str, int]:
 
     with in_field("counts"):
         noise = MeasurementNoise(args.counts)
-    if args.distinguishability is not None:
-        with in_field("distinguishability"):
-            noise = replace(noise, distinguishability=args.distinguishability)
+    if args.distinguishability is not None:  # its message names the field
+        noise = replace(noise, distinguishability=args.distinguishability)
     with in_field("threshold"):
         require_threshold(args.threshold)
     device = load_device(args.device) if args.device else None
@@ -507,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.set_defaults(func=cmd_reconstruct)
 
     devices = sub.add_parser("devices", help="list or dump the embedded devices")
-    devices.add_argument("--dump", help="print one builtin device file verbatim")
+    devices.add_argument("--dump", help="print one builtin device file as indented JSON")
     devices.add_argument("--out")
     devices.set_defaults(func=cmd_devices)
     return parser

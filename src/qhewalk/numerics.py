@@ -6,6 +6,7 @@ re-unitarization) funnels through the routines in this module.
 from __future__ import annotations
 
 import math
+import reprlib
 from contextlib import suppress
 from functools import lru_cache
 from itertools import permutations
@@ -41,7 +42,7 @@ def finite_number(value, field: str) -> float:
             number = math.inf
         if math.isfinite(number):
             return number
-    raise ValueError(f"{field} must be a finite number, got {value!r}")
+    raise ValueError(f"{field} must be a finite number, got {reprlib.repr(value)}")  # ~40 chars at most
 
 
 def positive_int(value, field: str) -> int:

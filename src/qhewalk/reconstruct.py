@@ -72,8 +72,7 @@ class MeasurementSet:
                 raise ValueError(f"bad visibility key (({i},{i2}),({j},{j2})) for m={m}")
         if not all(abs(v) <= 1.0 + 1e-9 for v in self.visibilities.values()):
             raise ValueError("visibilities must be finite and lie in [-1, 1]")
-        if self.counts_scale is not None and not np.isfinite(self.counts_scale):
-            raise ValueError(f"counts_scale must be finite, got {self.counts_scale}")
+        MeasurementNoise(self.counts_scale)  # the one counts_scale rule
 
     @property
     def mode_count(self) -> int:

@@ -8,7 +8,7 @@ per output state; the distinguishable-photon law, blended in below unit
 visibility, takes none. A law is enumerated as arrays (each output's mode
 indices and its occupation row) and returned as a dict keyed by occupation
 tuple; postselect and bhattacharyya_fidelity read such dicts back as aligned
-arrays.
+arrays, and occupation_labels writes the report's label of each key.
 """
 from __future__ import annotations
 
@@ -91,14 +91,14 @@ def occupation_states(m: int, n: int) -> list[tuple[int, ...]]:
     return list(_enumerate(m, n)[2])
 
 
-def occupation_array(occupations) -> np.ndarray:
+def _occupation_array(occupations) -> np.ndarray:
     """K occupation tuples (counts below 256) as the rows of one K x m uint8 array, in order."""
     occupations = list(occupations)
     counts = np.frombuffer(bytes(chain.from_iterable(occupations)), dtype=np.uint8)
     return counts.reshape(len(occupations), len(occupations[0]) if occupations else 0)
 
 
-def text_rows(codes: np.ndarray) -> list[str]:
+def _text_rows(codes: np.ndarray) -> list[str]:
     """Each row of a 2-D uint8 array of ASCII codes as one string."""
     text = codes.tobytes().decode("ascii")
     width = codes.shape[1]
@@ -192,22 +192,28 @@ def classical_output_distribution(U, input_occupation) -> dict[tuple[int, ...], 
     return _exact_law(U, input_occupation, _distinguishable_weights)
 
 
-def _with_spurious(law: dict, noise: NoiseModel) -> dict[tuple[int, ...], float]:
-    """Admix a uniform law: a spurious shot (probability rate) lands on any outcome alike."""
-    rate = noise.higher_order_rate
-    if rate <= 0.0:
-        return law
-    return {t: (1.0 - rate) * p + rate / len(law) for t, p in law.items()}
-
-
 def _bit_strings(states: np.ndarray) -> list[str]:
     """Logical bit-string of each collision-free occupation row (walker = bit 0)."""
-    return text_rows(np.where(states == 1, ord("0"), ord("1")).astype(np.uint8))
+    return _text_rows(np.where(states == 1, ord("0"), ord("1")).astype(np.uint8))
 
 
 def occupation_to_bits(occ: tuple[int, ...]) -> str:
     """Collision-free walker occupation -> logical bit-string (walker = bit 0)."""
-    return _bit_strings(occupation_array([occ]))[0]
+    return _bit_strings(_occupation_array([occ]))[0]
+
+
+def occupation_labels(occupations) -> list[str]:
+    """'[c,c,...]' label of each occupation, written digit by digit into one byte buffer.
+
+    Every count is a single digit (at most MAX_WALKERS photons), so labels of
+    one length sort like their occupation tuples.
+    """
+    states = _occupation_array(occupations)
+    k, m = states.shape
+    codes = np.full((k, 2 * m + 1), ord(","), dtype=np.uint8)
+    codes[:, 0], codes[:, -1] = ord("["), ord("]")
+    codes[:, 1::2] = states + ord("0")
+    return _text_rows(codes)
 
 
 def protocol_distribution(U, plaintext, noise: NoiseModel = NoiseModel()) -> dict[tuple[int, ...], float]:
@@ -226,7 +232,10 @@ def protocol_distribution(U, plaintext, noise: NoiseModel = NoiseModel()) -> dic
         # both laws are keyed in occupation_states order
         law = {t: visibility * p + (1.0 - visibility) * c
                for (t, p), c in zip(law.items(), classical.values(), strict=True)}
-    return _with_spurious(law, noise)
+    rate = noise.higher_order_rate
+    if rate > 0.0:  # a spurious shot lands on any outcome alike
+        law = {t: (1.0 - rate) * p + rate / len(law) for t, p in law.items()}
+    return law
 
 
 def postselect(law: dict) -> tuple[dict[str, float], float]:
@@ -238,7 +247,7 @@ def postselect(law: dict) -> tuple[dict[str, float], float]:
     sequentially in the law's order: 1 - collision cancels when collisions
     dominate.
     """
-    states = occupation_array(law)
+    states = _occupation_array(law)
     weights = np.array(list(law.values()))
     kept = states.max(axis=1, initial=0) <= 1
     collision = sum(weights[~kept].tolist())
@@ -255,9 +264,6 @@ class ProtocolResult:
     shots: int
     occupation_counts: dict[tuple[int, ...], int]
     exact_occupations: dict[tuple[int, ...], float]
-
-    def empirical_occupations(self) -> dict[tuple[int, ...], float]:
-        return {occ: c / self.shots for occ, c in self.occupation_counts.items()}
 
     def empirical_bitstrings(self) -> dict[str, float]:
         """Post-selected collision-free view, renormalized."""

@@ -153,8 +153,11 @@ def test_rejections_name_the_field_or_file(tmp_path):
               (("walk", "--device", "u1", "--input", "011"), "input:"),
               (("walk", "--device", "u1", "--input", "01a1"), "input:"),
               (("walk", "--device", "u1", "--input", "0110", "--visibility", "2"), "visibility:"),
+              # the library's message names the flag's field once
               (("walk", "--device", "u1", "--input", "0110", "--higher-order-rate", "2"),
-               "higher_order_rate:"),
+               "error: higher_order_rate must lie in"),
+              (("reconstruct", "--device", "u1", "--distinguishability", "2"),
+               "error: distinguishability must lie in"),
               (("reconstruct", "--device", "u1", "--counts", "0"), "counts:"),
               (("reconstruct", "--device", "u1", "--threshold", "nan"), "threshold:"),
               (("security", "--m", "9"), "error: m must lie in [1, 8]"),
@@ -199,6 +202,19 @@ def test_rejections_name_the_field_or_file(tmp_path):
         assert proc.returncode == 2, argv
         assert field in proc.stderr, (argv, proc.stderr)
         assert "Traceback" not in proc.stderr
+
+
+def test_rejected_huge_numbers_are_echoed_short(tmp_path):
+    device = tmp_path / "huge.json"
+    device.write_text(json.dumps({"m": 1, "unitary": [[[10 ** 400, 0]]]}))
+    for argv, field in ((("attack", "--m", "1" + "0" * 4000, "--asymptote-only"),
+                         "error: m must be a finite number, got 1000"),
+                        (("walk", "--device", str(device), "--input", "0"),
+                         "error: 'unitary'[0][0][0] must be a finite number, got 1000")):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith(field), proc.stderr
+        assert len(proc.stderr.encode()) < 200, proc.stderr
 
 
 class TestAttackCommand:
@@ -260,6 +276,21 @@ class TestSecurityCommand:
             assert set(row) == {"d", "p_exact", "p_empirical", "stderr"}
 
 
+@pytest.mark.parametrize("m", [3, 6, 8])
+@pytest.mark.parametrize("ensemble", ["linear:180", "poincare:64,64,64", "linear:12"])
+def test_security_builds_each_density_once(m, ensemble, monkeypatch, capsys):
+    import qhewalk.security as security
+    built, density = [], security.encrypted_density
+
+    def counted(x, key_ensemble):
+        built.append((x, key_ensemble.label))
+        return density(x, key_ensemble)
+    monkeypatch.setattr(security, "encrypted_density", counted)
+    assert main(["security", "--m", str(m), "--ensemble", ensemble, "--attack-trials", "100"]) == 0
+    capsys.readouterr()
+    assert built and len(built) == len(set(built)), built
+
+
 class TestReconstructCommand:
     def test_noiseless_round_trip(self):
         report = run_json("reconstruct", "--device", "u1", "--noise", "none", "--seed", "3")
@@ -318,6 +349,7 @@ class TestReconstructCommand:
                                (nan_visibility, "visibilities"),
                                (dict(good, counts_scale=math.inf), "counts_scale"),
                                (dict(good, counts_scale=-math.inf), "counts_scale"),
+                               (dict(good, counts_scale=-5), "counts_scale"),
                                (dict(good, m=True), "'m'"),
                                (dict(good, m=3.5), "'m'"),
                                (dict(good, visibilities=5), "'visibilities'")):

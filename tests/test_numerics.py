@@ -237,13 +237,15 @@ class TestFiniteGrid:
 
     def test_each_fault_names_its_index(self):
         good = [[[1.0, 0], [0.5, -0.0]], [[2, 3.0], [4, 5]]]
-        leaves = (True, False, "1.0", None, math.nan, math.inf, -math.inf, 10 ** 400,
-                  [1.0], {}, [])
+        huge = 10 ** 400
+        leaves = (True, False, "1.0", None, math.nan, math.inf, -math.inf, huge, [1.0], {}, [])
         for bad in leaves:
             value = nested([x for row in good for cell in row for x in cell], (2, 2, 2))
             value[1][0][1] = bad
+            # a huge value is echoed shortened, every other one in full
+            echo = "1" + "0" * 17 + "..." + "0" * 19 if bad is huge else repr(bad)
             with pytest.raises(ValueError, match=re.escape(
-                    f"'g'[1][0][1] must be a finite number, got {bad!r}")):
+                    f"'g'[1][0][1] must be a finite number, got {echo}")):
                 finite_grid(value, (2, 2, 2), "'g'")
         for value, index in (
                 ([good[0]], ""),                           # too few rows

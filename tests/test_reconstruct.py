@@ -372,6 +372,10 @@ class TestPayload:
              "'intensities'[0][0] must be a finite number"),
             (dict(good, counts_scale=10 ** 400), "'counts_scale' must be a finite number"),
             (dict(good, counts_scale="1e6"), "'counts_scale' must be a finite number"),
+            # a file's counts_scale obeys the --counts rule
+            (dict(good, counts_scale=-5), "counts_scale must lie in (0, 1e+18], got -5.0"),
+            (dict(good, counts_scale=0), "counts_scale must lie in (0, 1e+18], got 0.0"),
+            (dict(good, counts_scale=1e300), "counts_scale must lie in (0, 1e+18], got 1e+300"),
             # a repeated pair would silently replace the earlier record's value
             (dict(good, visibilities=[record, dict(record, value=-0.9)]),
              "'visibilities'[1] repeats the pairs of 'visibilities'[0]"),

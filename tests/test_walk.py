@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2, chi2_contingency
 
-from qhewalk.cli import occupation_labels, unitary_from_payload, unitary_to_payload
+from qhewalk.cli import unitary_from_payload, unitary_to_payload
 from qhewalk.numerics import permanent, unitarize
 from qhewalk.polarization import linear_ensemble, sample_haar_key
 from qhewalk.walk import (MAX_SHOTS, NoiseModel, bhattacharyya_fidelity,
-                          classical_output_distribution, occupation_states, occupation_to_bits,
-                          output_distribution, postselect, protocol_distribution, require_law_size,
-                          run_protocol, walker_pattern)
+                          classical_output_distribution, occupation_labels, occupation_states,
+                          occupation_to_bits, output_distribution, postselect,
+                          protocol_distribution, require_law_size, run_protocol, walker_pattern)
 from oracles import (counts_by_uniforms, distinguishable_distribution, fidelity_by_dict,
                      haar_unitary, occupation_label, occupation_states_by_loop,
                      polynomial_distribution, postselect_by_dict, total_variation)
@@ -67,6 +67,14 @@ def test_label_buffer_matches_the_per_tuple_label():
         assert occupation_labels(dict.fromkeys(states[::7], 1)) == [
             occupation_label(s) for s in states[::7]], (m, n)
     assert occupation_labels({}) == []
+
+
+def test_labels_sort_like_their_occupations():
+    # the walk report sorts and sums its label-keyed laws in the tuples' order
+    for m, n in ((4, 3), (8, 6), (41, 2)):
+        states = occupation_states(m, n)
+        by_label = dict(zip(occupation_labels(states), states))
+        assert [by_label[label] for label in sorted(by_label)] == sorted(states), (m, n)
 
 
 class TestOutputDistribution:
@@ -275,6 +283,11 @@ def make_rng(seed=0):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
+def frequencies(result):
+    """Each tallied occupation's share of the shots, in the tally's order."""
+    return {occ: c / result.shots for occ, c in result.occupation_counts.items()}
+
+
 class TestRunProtocol:
     def test_identity_returns_plaintext(self):
         result = run_protocol(np.eye(4), "1010", linear_ensemble(1).key(0), 50, make_rng())
@@ -297,7 +310,7 @@ class TestRunProtocol:
     def test_empirical_matches_exact(self):
         result = run_protocol(U1, "0111", linear_ensemble(1).key(0), 100000, make_rng(7))
         exact = protocol_distribution(U1, "0111")
-        fidelity = bhattacharyya_fidelity(exact, result.empirical_occupations())
+        fidelity = bhattacharyya_fidelity(exact, frequencies(result))
         assert fidelity >= 0.995
 
     def test_three_walker_collisions_are_tallied(self):
@@ -400,7 +413,7 @@ def _walk_laws_and_tallies():
         for noise in (NoiseModel(), NoiseModel(0.9, 0.01), NoiseModel(0.5, 0.2)):
             result = run_protocol(U, plaintext, linear_ensemble(1).key(0), 20000, make_rng(9),
                                   noise=noise)
-            cases.append((result.exact_occupations, result.empirical_occupations(),
+            cases.append((result.exact_occupations, frequencies(result),
                           result.occupation_counts))
     return cases
 
@@ -424,6 +437,15 @@ def test_array_postselect_and_fidelity_equal_the_dict_definitions():
             assert bhattacharyya_fidelity(p, q) == fidelity_by_dict(p, q)
     for p, q in (({}, {}), ({"a": 1.0}, {"b": 1.0}), ({"a": -0.1, "b": 1.1}, {"a": 0.5, "b": 0.5})):
         assert bhattacharyya_fidelity(p, q) == fidelity_by_dict(p, q)
+
+
+def test_fidelity_on_labels_equals_fidelity_on_tuples():
+    # the walk report takes the occupation fidelity on its label-keyed dicts
+    def labelled(law):
+        return dict(zip(occupation_labels(law), law.values()))
+    for exact, empirical, counts in _walk_laws_and_tallies():
+        for p, q in ((exact, empirical), (exact, counts), (empirical, exact), (exact, {})):
+            assert bhattacharyya_fidelity(labelled(p), labelled(q)) == bhattacharyya_fidelity(p, q)
 
 
 class TestBhattacharyya:
