@@ -175,9 +175,8 @@ def cmd_walk(args) -> tuple[str, int]:
         if len(bits) != device.m:
             raise ValueError(f"plaintext length {len(bits)} != mode count {device.m}")
     key, key_echo = parse_key_spec(args.key, rng)
-    with in_field("visibility"):
-        noise = NoiseModel(args.visibility)
-    noise = replace(noise, higher_order_rate=args.higher_order_rate)  # its message names the field
+    # each message names its field, as the report's config echoes it
+    noise = NoiseModel(args.visibility, higher_order_rate=args.higher_order_rate)
 
     result = run_protocol(device.unitary, bits, key, args.shots, rng, noise=noise)
 
@@ -237,7 +236,7 @@ def cmd_attack(args) -> tuple[str, int]:
         with in_field("d"):
             # every key set is checked before the first trial is drawn
             ds = [linear_ensemble(d).polar_size for d in parse_grid(args.d)]
-    require_trials(args.trials)
+    require_trials(args.trials, "trials")
     rng = make_rng(args.seed)
     plaintext = None
     if not args.asymptote_only or args.plaintext is not None:
@@ -289,17 +288,25 @@ def cmd_security(args) -> tuple[str, int]:
                            trace_distance, von_neumann_entropy)
 
     require_qubits(args.m)  # before the m-bit plaintext is built; its message names m
-    with in_field("attack_trials"):
-        require_trials(args.attack_trials)
+    require_trials(args.attack_trials, "attack_trials")
     ensemble = parse_ensemble(args.ensemble)
     rng = make_rng(args.seed)
     m = args.m
 
+    hedges = HEDGE_ENSEMBLES if m <= 6 else ()  # both candidate ensembles, side by side
     # each density, entropy and distance set once per report, whichever sections share it;
-    # only rho_00..0 is read twice, so it alone is kept (at m = 8 a density is 0.5 MB)
-    @cache
+    # a density is a 2^m x 2^m array (0.5 MB at m = 8), so only the rho_00..0 that a
+    # trace-distance section reads later is kept, and every other one is freed after use
+    distance_labels = {ensemble.label, *hedges}
+    kept = {}
+
     def rho0(label):
-        return encrypted_density("0" * m, parse_ensemble(label))
+        if label not in kept:
+            rho = encrypted_density("0" * m, parse_ensemble(label))
+            if label not in distance_labels:
+                return rho
+            kept[label] = rho
+        return kept[label]
 
     @cache
     def entropy(label):
@@ -337,9 +344,8 @@ def cmd_security(args) -> tuple[str, int]:
     report["attack_curve"] = _attack_curve(m, ATTACK_CURVE_D, "0" * m, args.attack_trials, rng)
 
     report["trace_distances"] = distances(ensemble.label)
-    if m <= 6:
-        # both candidate ensembles, recorded side by side
-        report["trace_distances_by_ensemble"] = {label: distances(label) for label in HEDGE_ENSEMBLES}
+    if hedges:
+        report["trace_distances_by_ensemble"] = {label: distances(label) for label in hedges}
     return _json_text(report), 0
 
 
@@ -356,12 +362,11 @@ def cmd_reconstruct(args) -> tuple[str, int]:
     if args.noise == "none" and args.counts is not None:
         raise ValueError("--noise none contradicts --counts")
 
-    with in_field("counts"):
-        noise = MeasurementNoise(args.counts)
-    if args.distinguishability is not None:  # its message names the field
+    # each message names its field, counts_scale or distinguishability, as the report echoes it
+    noise = MeasurementNoise(args.counts)
+    if args.distinguishability is not None:
         noise = replace(noise, distinguishability=args.distinguishability)
-    with in_field("threshold"):
-        require_threshold(args.threshold)
+    require_threshold(args.threshold, "threshold")
     device = load_device(args.device) if args.device else None
 
     if args.measurements:

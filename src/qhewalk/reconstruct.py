@@ -324,10 +324,10 @@ def _levenberg_marquardt(fun, jac, x0):
     return x, 0.5 * float(f @ f)
 
 
-def require_threshold(residual_threshold: float) -> None:
-    """A residual threshold is finite and >= 0."""
+def require_threshold(residual_threshold: float, field: str) -> None:
+    """A residual threshold is finite and >= 0; else a ValueError naming field."""
     if not 0.0 <= residual_threshold < math.inf:
-        raise ValueError(f"residual_threshold must be finite and >= 0, got {residual_threshold}")
+        raise ValueError(f"{field} must be finite and >= 0, got {residual_threshold}")
 
 
 def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
@@ -345,7 +345,7 @@ def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
     require_modes(m)
     if not 1 <= restarts <= MAX_RESTARTS:
         raise ValueError(f"restarts must lie in [1, {MAX_RESTARTS}], got {restarts}")
-    require_threshold(residual_threshold)
+    require_threshold(residual_threshold, "residual_threshold")
     anchored = {((0, i), (0, j)) for i in range(1, m) for j in range(1, m)}
     missing = anchored - set(meas.visibilities)
     if missing:

@@ -36,9 +36,12 @@ MAX_ATTACK_QUBITS = 10 ** 4
 
 
 def _popcount_mask(m: int, d1: int) -> np.ndarray:
-    """1 where d1 divides |s| - |s'| for basis indices s, s' of m qubits, else 0."""
-    weight = np.array([bin(s).count("1") for s in range(2 ** m)])
-    return ((weight[:, None] - weight[None, :]) % d1 == 0).astype(float)
+    """True where d1 divides |s| - |s'| for basis indices s, s' of m qubits.
+
+    That is where |s| and |s'| leave one remainder mod d1: a boolean array, so
+    no 2^m x 2^m integer or float array is built on the way."""
+    residue = np.array([bin(s).count("1") % d1 for s in range(2 ** m)])
+    return residue[:, None] == residue[None, :]
 
 
 def require_qubits(m: int) -> None:
@@ -64,9 +67,10 @@ def encrypted_density(x, ensemble: KeyEnsemble) -> np.ndarray:
     psi = np.ones((theta.size, 1))
     for b in bits:
         psi = (psi[:, :, None] * rotations[:, None, :, b]).reshape(theta.size, -1)
-    rho = psi.T @ psi / theta.size
+    rho = psi.T @ psi
+    rho /= theta.size  # in place: one 2^m x 2^m array per density
     if ensemble.kind == "poincare":
-        rho *= _popcount_mask(m, ensemble.dims[0])
+        rho *= _popcount_mask(m, ensemble.dims[0])  # each entry times 1.0 or 0.0
     return rho
 
 
@@ -150,12 +154,12 @@ def attack_asymptote(m) -> float:
     return 1.0 / math.sqrt(math.pi * finite_number(m, "m"))  # an int past float range is refused
 
 
-def require_trials(trials: int) -> None:
-    """An attack's trial count lies in [1, MAX_TRIALS]."""
+def require_trials(trials: int, field: str) -> None:
+    """An attack's trial count lies in [1, MAX_TRIALS]; else a ValueError naming field."""
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ValueError(f"{field} must be >= 1")
     if trials > MAX_TRIALS:
-        raise ValueError(f"trials must be <= {MAX_TRIALS}, got {trials}")
+        raise ValueError(f"{field} must be <= {MAX_TRIALS}, got {trials}")
 
 
 def simulate_attack(m: int, d: int, plaintext, trials: int, random_source) -> float:
@@ -171,7 +175,7 @@ def simulate_attack(m: int, d: int, plaintext, trials: int, random_source) -> fl
     bits = as_bits(plaintext)
     if len(bits) != m:
         raise ValueError(f"plaintext length {len(bits)} != m = {m}")
-    require_trials(trials)
+    require_trials(trials, "trials")
     win_prob = (np.cos(linear_ensemble(d).polar_angles()) ** 2) ** m  # per key
     per_key = random_source.multinomial(trials, np.full(d, 1.0 / d))
     return int(random_source.binomial(per_key, win_prob).sum()) / trials

@@ -9,8 +9,8 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from qhewalk.cli import unitary_from_payload
-from qhewalk.numerics import (RYSER_MAX_DIM, finite_grid, hermitian_eig, permanent,
-                              permanent_naive, unitarize)
+from qhewalk.numerics import (HERMITIAN_TOL, RYSER_MAX_DIM, finite_grid, hermitian_eig,
+                              permanent, permanent_naive, unitarize)
 from oracles import haar_unitary, permanent_by_definition, polar_factor_by_eigh
 
 U1_PRINTED = np.array([
@@ -141,6 +141,27 @@ class TestHermitianEig:
     def test_tolerates_roundoff_asymmetry(self):
         H = np.array([[1.0, 0.5 + 1e-13j], [0.5 - 2e-13j, 2.0]])
         hermitian_eig(H)  # must not raise
+
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_scratch_route_matches_the_expression_bitwise(self, kind):
+        # one scratch array against eigvalsh((M + M^H) / 2), at asymmetry from 0 to just
+        # under HERMITIAN_TOL; the input is left as it was
+        rng = np.random.default_rng(12)
+        for n in (2, 3, 8, 33, 64):
+            Z = rng.standard_normal((n, n)).astype(kind)
+            if kind is complex:
+                Z += 1j * rng.standard_normal((n, n))
+            H = Z + Z.conj().T
+            for skew in (0.0, 1e-13, 0.99 * HERMITIAN_TOL):
+                M = H.copy()
+                M[0, -1] += skew * (1j if kind is complex else 1.0)
+                before = M.copy()
+                ours = hermitian_eig(M).eigenvalues
+                assert np.array_equal(ours, np.linalg.eigvalsh((M + M.conj().T) / 2.0)), (n, skew)
+                assert np.array_equal(M, before)
+            M[0, -1] += 0.02 * HERMITIAN_TOL * (1j if kind is complex else 1.0)  # just over
+            with pytest.raises(ValueError, match="not Hermitian"):
+                hermitian_eig(M)
 
 
 class TestUnitarize:

@@ -11,8 +11,8 @@ from qhewalk.security import (MAX_POLAR_GRID, KeyEnsemble, attack_asymptote,
                               attack_success, encrypted_density,
                               hidden_bits_linear_asymptotic, holevo,
                               holevo_poincare_limit, linear_ensemble,
-                              parse_ensemble, poincare_ensemble, simulate_attack,
-                              trace_distance, von_neumann_entropy)
+                              parse_ensemble, poincare_ensemble, rotation_matrices,
+                              simulate_attack, trace_distance, von_neumann_entropy)
 from oracles import (attack_by_rows, density_by_keys, ensemble_rotations, holevo_by_definition,
                      implied_mutual_information, qudit_hidden_info, symmetric_basis)
 
@@ -100,6 +100,25 @@ class TestEncryptedDensity:
                     x = format(idx, f"0{m}b")
                     err = np.max(np.abs(encrypted_density(x, ens) - density_by_keys(x, rots)))
                     assert err <= 1e-12, (ens.label, x, err)
+
+    @pytest.mark.parametrize("ens", [linear_ensemble(12), LINEAR_180, poincare_ensemble(3, 9, 1),
+                                     POINCARE_64], ids=lambda ens: ens.label)
+    def test_in_place_route_matches_the_expression_bitwise(self, ens):
+        # psi.T @ psi / d, times a float 0/1 popcount mask on the sphere: the expression
+        # that the in-place normalization and the boolean mask replace
+        theta = ens.polar_angles()
+        rotations = rotation_matrices(0.0, 2 * theta, 0.0).real
+        for m in range(1, 9):
+            weight = np.array([bin(s).count("1") for s in range(2 ** m)])
+            mask = ((weight[:, None] - weight[None, :]) % ens.dims[0] == 0).astype(float)
+            for x in ("0" * m, ("0110" * 2)[:m], "1" * m):
+                psi = np.ones((theta.size, 1))
+                for b in map(int, x):
+                    psi = np.stack([np.kron(row, r[:, b]) for row, r in zip(psi, rotations)])
+                expected = psi.T @ psi / theta.size
+                if ens.kind == "poincare":
+                    expected = expected * mask
+                assert np.array_equal(encrypted_density(x, ens), expected), (ens.label, x)
 
     def test_poincare_density_ignores_gamma_grid(self):
         # gamma is a global phase of every encrypted product state, so the
