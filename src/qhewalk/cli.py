@@ -23,7 +23,6 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -73,7 +72,7 @@ def read_json(path):
     """Parse a JSON file; one that is not JSON text raises a ValueError naming the path."""
     try:
         return json.loads(path.read_text())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting past the parser's depth
         raise ValueError(f"{path}: not a JSON file ({exc})") from None
 
 
@@ -283,9 +282,8 @@ def _attack_curve(m: int, ds, plaintext, trials: int, rng) -> list[dict]:
 
 def cmd_security(args) -> tuple[str, int]:
     from .polarization import parse_ensemble
-    from .security import (encrypted_density, hidden_bits_linear_asymptotic, holevo,
-                           holevo_poincare_limit, require_qubits, require_trials,
-                           trace_distance, von_neumann_entropy)
+    from .security import (hidden_bits_linear_asymptotic, holevo, holevo_poincare_limit,
+                           require_qubits, require_trials, weight_class_figures)
 
     require_qubits(args.m)  # before the m-bit plaintext is built; its message names m
     require_trials(args.attack_trials, "attack_trials")
@@ -294,30 +292,13 @@ def cmd_security(args) -> tuple[str, int]:
     m = args.m
 
     hedges = HEDGE_ENSEMBLES if m <= 6 else ()  # both candidate ensembles, side by side
-    # each density, entropy and distance set once per report, whichever sections share it;
-    # a density is a 2^m x 2^m array (0.5 MB at m = 8), so only the rho_00..0 that a
-    # trace-distance section reads later is kept, and every other one is freed after use
-    distance_labels = {ensemble.label, *hedges}
-    kept = {}
-
-    def rho0(label):
-        if label not in kept:
-            rho = encrypted_density("0" * m, parse_ensemble(label))
-            if label not in distance_labels:
-                return rho
-            kept[label] = rho
-        return kept[label]
-
-    @cache
-    def entropy(label):
-        return von_neumann_entropy(rho0(label))
-
-    @cache
-    def distances(label):
-        """T(rho_00..0, rho with w trailing ones) for w = 1..min(3, m)."""
-        return {f"hamming_{w}": trace_distance(
-                    rho0(label), encrypted_density("0" * (m - w) + "1" * w, parse_ensemble(label)))
-                for w in range(1, min(3, m) + 1)}
+    needs = dict.fromkeys(HOLEVO_REFERENCES, (1, 0))  # (entropies, distances) per ensemble
+    needs.update((label, (needs.get(label, (0, 0))[0], min(3, m))) for label in hedges)
+    needs[ensemble.label] = (m + 1 if args.explicit else 1, min(3, m))
+    S, T = {}, {}
+    for label, need in needs.items():  # one pass per ensemble: one's densities alive at a time
+        S[label], T[label] = weight_class_figures(m, parse_ensemble(label), *need)
+    distances = {label: {f"hamming_{w}": t for w, t in enumerate(T[label], 1)} for label in T}
 
     report = {
         "command": "security",
@@ -330,22 +311,22 @@ def cmd_security(args) -> tuple[str, int]:
         },
         "m": int(m),
         "ensemble": ensemble.label,
-        "holevo_bits": float(m - entropy(ensemble.label)),
-        "entropy_bits": float(entropy(ensemble.label)),
-        "holevo_reference": {label: float(m - entropy(label)) for label in HOLEVO_REFERENCES},
+        "holevo_bits": float(m - S[ensemble.label][0]),
+        "entropy_bits": float(S[ensemble.label][0]),
+        "holevo_reference": {label: float(m - S[label][0]) for label in HOLEVO_REFERENCES},
         "limits": {
             "holevo_poincare_limit_bits": float(holevo_poincare_limit(m)),
             "hidden_bits_linear_asymptotic": float(hidden_bits_linear_asymptotic(m)),
         },
     }
     if args.explicit:
-        report["holevo_explicit_bits"] = float(holevo(m, ensemble))
+        report["holevo_explicit_bits"] = float(holevo(m, S[ensemble.label]))
 
     report["attack_curve"] = _attack_curve(m, ATTACK_CURVE_D, "0" * m, args.attack_trials, rng)
 
-    report["trace_distances"] = distances(ensemble.label)
+    report["trace_distances"] = distances[ensemble.label]
     if hedges:
-        report["trace_distances_by_ensemble"] = {label: distances(label) for label in hedges}
+        report["trace_distances_by_ensemble"] = {label: distances[label] for label in hedges}
     return _json_text(report), 0
 
 

@@ -87,23 +87,42 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return float(-(lam * np.log2(lam)).sum())
 
 
-def holevo(m: int, ensemble: KeyEnsemble) -> float:
-    """Holevo quantity of the uniform plaintext source under the key ensemble.
+def weight_class_figures(m: int, ensemble: KeyEnsemble, entropies: int, distances: int):
+    """S(rho_w) for w < entropies and T(rho_0, rho_w) for 1 <= w <= distances, as two lists.
 
-    The definition, S(mean_x rho_x) - mean_x S(rho_x), from m + 1 densities
-    instead of 2^m. Each key's rotated basis resolves the identity, so the
-    mean of all 2^m densities is I/2^m, of entropy m. Permuting the qubits
-    keeps the key average and the popcount mask, so S(rho_x) depends only on
-    the weight w = |x|: chi = m - sum_w C(m, w) 2^-m S(rho_{0^(m-w) 1^w}).
-    For key sets closed under the plaintext flip it equals m - S(rho_0), the
-    security report's holevo_bits. Full-sphere grids are not closed under the
-    flip, and the two differ.
-    """
+    rho_w, the density of plaintext 0^(m-w) 1^w, is built once in order of w and freed after use."""
     require_qubits(m)  # before any m-bit plaintext is built
-    total = 0.0
-    for w in range(m + 1):
+    if not (0 <= entropies <= m + 1 and 0 <= distances <= m):
+        raise ValueError(f"weights run over 0..{m}: {entropies} entropies, {distances} distances")
+    S, T = [], []
+    for w in range(max(entropies, distances + 1)):
         rho = encrypted_density("0" * (m - w) + "1" * w, ensemble)
-        total += math.comb(m, w) * von_neumann_entropy(rho)
+        if w < entropies:
+            S.append(von_neumann_entropy(rho))
+        if w == 0:
+            rho0 = rho
+        elif w <= distances:
+            T.append(trace_distance(rho0, rho))
+        if w == distances:
+            rho0 = None  # kept only while a distance still reads it
+        del rho
+    return S, T
+
+
+def holevo(m: int, entropies) -> float:
+    """Holevo quantity of the uniform plaintext source, S(mean_x rho_x) - mean_x S(rho_x).
+
+    The mean of all 2^m densities is I/2^m (each key's basis resolves the identity),
+    and S(rho_x) depends only on the weight of x (qubit permutations keep the key
+    average), so chi = m - sum_w C(m, w) 2^-m entropies[w], with entropies the first
+    list of weight_class_figures(m, ensemble, m + 1, 0). For key sets closed under the
+    plaintext flip chi is m - S(rho_0), the security report's holevo_bits.
+    """
+    if len(entropies) != m + 1:
+        raise ValueError(f"holevo needs {m + 1} weight-class entropies, got {len(entropies)}")
+    total = 0.0
+    for w, entropy in enumerate(entropies):
+        total += math.comb(m, w) * entropy
     return m - total / 2 ** m
 
 

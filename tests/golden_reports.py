@@ -87,6 +87,9 @@ REPORTS = _walks() + [
     ("security-m3-poincare-explicit", ["security", "--m", "3", "--ensemble", "poincare:8,9,8",
                                        "--explicit", "--attack-trials", "5000"]),
     ("security-m6", ["security", "--m", "6", "--attack-trials", "5000", "--seed", "6"]),
+    ("security-m8-explicit", ["security", "--m", "8", "--explicit", "--attack-trials", "5000"]),
+    ("security-m6-poincare-explicit", ["security", "--m", "6", "--ensemble", "poincare:64,64,64",
+                                       "--explicit", "--attack-trials", "5000"]),
     ("reconstruct-u1", ["reconstruct", "--device", "u1", "--noise", "none", "--seed", "1"]),
     ("reconstruct-u2-poisson", ["reconstruct", "--device", "u2", "--counts", "1e5",
                                 "--restarts", "4", "--seed", "2"]),

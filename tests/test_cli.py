@@ -121,6 +121,8 @@ class TestDeviceFiles:
 def test_rejections_name_the_field_or_file(tmp_path, capsys):
     not_json = tmp_path / "not-json.json"
     not_json.write_text("U = [[1, 0], [0, 1]]\n")
+    deep = tmp_path / "deep.json"  # nested past the JSON parser's recursion limit
+    deep.write_text("[" * 200_000)
     meas = tmp_path / "meas.json"
     payload = synthesize_measurements(haar_unitary(3, np.random.default_rng(3))).to_payload()
     meas.write_text(json.dumps(payload))
@@ -141,6 +143,8 @@ def test_rejections_name_the_field_or_file(tmp_path, capsys):
              for spec in ("linear:1/x", "linear:1/3/4", "haar:a,b,c", "euler:1,x,1")]
     cases += [(("walk", "--device", str(not_json), "--input", "01"), str(not_json)),
               (("reconstruct", "--measurements", str(not_json)), str(not_json)),
+              (("walk", "--device", str(deep), "--input", "01"), str(deep)),
+              (("reconstruct", "--measurements", str(deep)), str(deep)),
               # synthesis flags cannot shape data read from a file
               ((*fit, "--counts", "100"), "counts"),
               ((*fit, "--distinguishability", "0.5"), "distinguishability"),
@@ -284,15 +288,19 @@ class TestSecurityCommand:
 @pytest.mark.parametrize("ensemble", ["linear:180", "poincare:64,64,64", "linear:12"])
 def test_security_builds_each_density_once(m, ensemble, monkeypatch, capsys):
     import qhewalk.security as security
-    built, density = [], security.encrypted_density
+    density = security.encrypted_density
 
     def counted(x, key_ensemble):
         built.append((x, key_ensemble.label))
         return density(x, key_ensemble)
     monkeypatch.setattr(security, "encrypted_density", counted)
-    assert main(["security", "--m", str(m), "--ensemble", ensemble, "--attack-trials", "100"]) == 0
-    capsys.readouterr()
-    assert built and len(built) == len(set(built)), built
+    # --explicit reads the m + 1 weight classes of the report's ensemble, rho_0..rho_3 among them
+    for explicit in ([], ["--explicit"]):
+        built = []
+        assert main(["security", "--m", str(m), "--ensemble", ensemble, "--attack-trials", "100",
+                     *explicit]) == 0
+        capsys.readouterr()
+        assert built and len(built) == len(set(built)), (explicit, built)
 
 
 HEAP_PEAK = """

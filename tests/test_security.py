@@ -12,7 +12,8 @@ from qhewalk.security import (MAX_POLAR_GRID, KeyEnsemble, attack_asymptote,
                               hidden_bits_linear_asymptotic, holevo,
                               holevo_poincare_limit, linear_ensemble,
                               parse_ensemble, poincare_ensemble, rotation_matrices,
-                              simulate_attack, trace_distance, von_neumann_entropy)
+                              simulate_attack, trace_distance, von_neumann_entropy,
+                              weight_class_figures)
 from oracles import (attack_by_rows, density_by_keys, ensemble_rotations, holevo_by_definition,
                      implied_mutual_information, qudit_hidden_info, symmetric_basis)
 
@@ -27,6 +28,11 @@ def make_rng(seed=0):
 def holevo_bits(m, ensemble):
     """m - S(rho_0): the security report's holevo_bits, the Holevo quantity for flip-closed key sets."""
     return m - von_neumann_entropy(encrypted_density("0" * m, ensemble))
+
+
+def explicit_holevo(m, ensemble):
+    """The Holevo quantity by definition, from the m + 1 weight-class entropies."""
+    return holevo(m, weight_class_figures(m, ensemble, m + 1, 0)[0])
 
 
 class TestEnsembles:
@@ -152,7 +158,7 @@ class TestHolevo:
     def test_explicit_mode_agrees_for_linear(self):
         for m, d in ((2, 8), (3, 12)):
             fast = holevo_bits(m, linear_ensemble(d))
-            slow = holevo(m, linear_ensemble(d))
+            slow = explicit_holevo(m, linear_ensemble(d))
             assert fast == pytest.approx(slow, abs=1e-8)
 
     def test_explicit_mode_diverges_on_the_sphere(self):
@@ -161,7 +167,7 @@ class TestHolevo:
         # definition then measure different things (ledgered design choice)
         ens = poincare_ensemble(16, 16, 16)
         fast = holevo_bits(2, ens)
-        slow = holevo(2, ens)
+        slow = explicit_holevo(2, ens)
         assert abs(fast - slow) > 0.05
 
     def test_entropy_varies_across_plaintexts_on_the_sphere(self):
@@ -185,11 +191,30 @@ class TestHolevo:
         # m + 1 weight classes against all 2^m densities built key by key
         ens = parse_ensemble(label)
         for m in range(1, 6):
-            assert abs(holevo(m, ens) - holevo_by_definition(m, ens)) <= 1e-13, m
+            assert abs(explicit_holevo(m, ens) - holevo_by_definition(m, ens)) <= 1e-13, m
 
     def test_m_cap(self):
         with pytest.raises(ValueError, match=r"m must lie in \[1, 8\]"):
-            holevo(9, linear_ensemble(4))
+            weight_class_figures(9, linear_ensemble(4), 10, 0)
+
+    @pytest.mark.parametrize("label", ["linear:12", "linear:180", "poincare:64,64,64"])
+    def test_weight_class_figures_match_the_direct_route(self, label):
+        # bit for bit: the same densities, entropies and distances as built one by one
+        ens = parse_ensemble(label)
+        for m in range(1, 9):
+            rho = [encrypted_density("0" * (m - w) + "1" * w, ens) for w in range(m + 1)]
+            S = [von_neumann_entropy(r) for r in rho]
+            T = [trace_distance(rho[0], r) for r in rho[1:min(3, m) + 1]]
+            for entropies, distances in ((m + 1, min(3, m)), (1, 0), (0, min(3, m))):
+                assert weight_class_figures(m, ens, entropies, distances) == (
+                    S[:entropies], T[:distances]), (m, entropies, distances)
+
+    def test_weight_class_figures_range(self):
+        for entropies, distances in ((6, 0), (0, 5), (-1, 0)):
+            with pytest.raises(ValueError, match=r"weights run over 0\.\.4"):
+                weight_class_figures(4, linear_ensemble(4), entropies, distances)
+        with pytest.raises(ValueError, match="5 weight-class entropies, got 4"):
+            holevo(4, [0.0] * 4)
 
 
 class TestSymmetricSector:
