@@ -7,6 +7,7 @@ measurement in the rotated basis.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,8 @@ def rotation_matrices(alpha, beta, gamma) -> np.ndarray:
     return out
 
 
-# a density builds (polar grid) x 2^m real arrays: about 205 MB at this grid and m = 8
+# at this grid and m = 8 encrypted_density builds (polar grid) x 2^m real arrays, about
+# 205 MB; a report's weight-class densities build (polar grid) x 25 at most, about 23 MB
 MAX_POLAR_GRID = 65536
 
 
@@ -110,7 +112,7 @@ class KeyEnsemble:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)  # an int: numpy's product wraps past 2^63
 
     @property
     def polar_size(self) -> int:

@@ -12,8 +12,11 @@ a global phase and cancels in |psi><psi|, and alpha multiplies entry (s, s')
 by e^{i alpha (|s| - |s'|)}, |s| being the popcount of basis index s. The
 mean over alpha_k = 2 pi k / d1 is 1 where d1 divides |s| - |s'| and 0
 elsewhere. A density is therefore a real average over the polar angle alone,
-masked for full-sphere keys, and costs O(d 4^m) for linear:d and O(d2 4^m)
-for poincare:d1,d2,d3, independent of d1 * d3.
+masked for full-sphere keys, costing O(d 4^m) for linear:d and O(d2 4^m) for
+poincare:d1,d2,d3 in 2^m dimensions, independent of d1 * d3. Reports need only
+the weight classes 0^(m-w) 1^w, whose states lie in span{|a,b>} (a ones among
+the first m-w qubits, b among the last w), of (m-w+1)(w+1) <= 25 dimensions at
+m = 8.
 """
 from __future__ import annotations
 
@@ -74,6 +77,29 @@ def encrypted_density(x, ensemble: KeyEnsemble) -> np.ndarray:
     return rho
 
 
+def _weight_density(m: int, w: int, ensemble: KeyEnsemble, tail: int = 1) -> np.ndarray:
+    """Density of 0^(m-w) tail^w in the basis |a,b> of the module docstring, index a (w+1) + b.
+
+    n qubits carrying bit column (u, v) encrypt to sum_j sqrt(C(n, j)) u^(n-j) v^j |j ones>.
+    tail = 0 writes rho_0 in the basis of rho_w, for their trace distance."""
+    theta = ensemble.polar_angles()
+    rotations = rotation_matrices(0.0, 2 * theta, 0.0).real  # column b: how bit b encrypts
+    phi, pop = np.ones((theta.size, 1)), np.zeros(1, dtype=int)
+    for n, bit in ((m - w, 0), (w, tail)):
+        j = np.arange(n + 1)
+        amp = np.sqrt([float(math.comb(n, k)) for k in j]) * (
+            rotations[:, :1, bit] ** (n - j) * rotations[:, 1:, bit] ** j)
+        phi = (phi[:, :, None] * amp[:, None, :]).reshape(theta.size, -1)
+        pop = (pop[:, None] + j).ravel()
+    rho = phi.T @ phi
+    rho /= theta.size
+    if ensemble.kind == "poincare":
+        # popcounts a + b differ by at most m: any d1 > m keeps what modulus m + 1 keeps
+        residue = pop % min(ensemble.dims[0], m + 1)
+        rho *= residue[:, None] == residue[None, :]
+    return rho
+
+
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """S(rho) = -Tr(rho log2 rho) in bits; roundoff-negative eigenvalues clamp to 0."""
     lam = hermitian_eig(rho).eigenvalues
@@ -90,22 +116,17 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 def weight_class_figures(m: int, ensemble: KeyEnsemble, entropies: int, distances: int):
     """S(rho_w) for w < entropies and T(rho_0, rho_w) for 1 <= w <= distances, as two lists.
 
-    rho_w, the density of plaintext 0^(m-w) 1^w, is built once in order of w and freed after use."""
-    require_qubits(m)  # before any m-bit plaintext is built
+    rho_w, the density of plaintext 0^(m-w) 1^w, is built once, in its weight basis."""
+    require_qubits(m)  # the report's bound on m, though no 2^m array is built here
     if not (0 <= entropies <= m + 1 and 0 <= distances <= m):
         raise ValueError(f"weights run over 0..{m}: {entropies} entropies, {distances} distances")
     S, T = [], []
     for w in range(max(entropies, distances + 1)):
-        rho = encrypted_density("0" * (m - w) + "1" * w, ensemble)
+        rho = _weight_density(m, w, ensemble)
         if w < entropies:
             S.append(von_neumann_entropy(rho))
-        if w == 0:
-            rho0 = rho
-        elif w <= distances:
-            T.append(trace_distance(rho0, rho))
-        if w == distances:
-            rho0 = None  # kept only while a distance still reads it
-        del rho
+        if 1 <= w <= distances:  # rho_0 written in rho_w's basis
+            T.append(trace_distance(_weight_density(m, w, ensemble, tail=0), rho))
     return S, T
 
 

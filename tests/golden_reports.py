@@ -90,6 +90,8 @@ REPORTS = _walks() + [
     ("security-m8-explicit", ["security", "--m", "8", "--explicit", "--attack-trials", "5000"]),
     ("security-m6-poincare-explicit", ["security", "--m", "6", "--ensemble", "poincare:64,64,64",
                                        "--explicit", "--attack-trials", "5000"]),
+    ("security-m8-poincare-explicit", ["security", "--m", "8", "--ensemble", "poincare:64,64,64",
+                                       "--explicit", "--attack-trials", "5000"]),
     ("reconstruct-u1", ["reconstruct", "--device", "u1", "--noise", "none", "--seed", "1"]),
     ("reconstruct-u2-poisson", ["reconstruct", "--device", "u2", "--counts", "1e5",
                                 "--restarts", "4", "--seed", "2"]),

@@ -272,6 +272,15 @@ class TestSecurityCommand:
         assert report["holevo_bits"] == pytest.approx(0.0, abs=1e-12)
         assert list(report["trace_distances"]) == ["hamming_1"]
 
+    def test_huge_azimuthal_grid(self, capsys):
+        # d1 = 10^23 lies past the int64 range; at m = 2 it masks as d1 = 3 does
+        reports = []
+        for d1 in ("100000000000000000000000", "3"):
+            assert main(["security", "--m", "2", "--ensemble", f"poincare:{d1},64,64"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        for field in ("holevo_bits", "trace_distances"):
+            assert reports[0][field] == reports[1][field]
+
     def test_explicit_flag(self):
         report = run_json("security", "--m", "2", "--ensemble", "linear:6", "--explicit")
         assert report["holevo_explicit_bits"] == pytest.approx(report["holevo_bits"], abs=1e-8)
@@ -288,13 +297,14 @@ class TestSecurityCommand:
 @pytest.mark.parametrize("ensemble", ["linear:180", "poincare:64,64,64", "linear:12"])
 def test_security_builds_each_density_once(m, ensemble, monkeypatch, capsys):
     import qhewalk.security as security
-    density = security.encrypted_density
+    density = security._weight_density
 
-    def counted(x, key_ensemble):
-        built.append((x, key_ensemble.label))
-        return density(x, key_ensemble)
-    monkeypatch.setattr(security, "encrypted_density", counted)
-    # --explicit reads the m + 1 weight classes of the report's ensemble, rho_0..rho_3 among them
+    def counted(m, w, key_ensemble, tail=1):
+        built.append((m, w, tail, key_ensemble.label))
+        return density(m, w, key_ensemble, tail)
+    monkeypatch.setattr(security, "_weight_density", counted)
+    # --explicit reads the m + 1 weight classes of the report's ensemble, rho_0..rho_3 among them;
+    # rho_0 in the basis of rho_w (tail 0) is a different matrix for each w
     for explicit in ([], ["--explicit"]):
         built = []
         assert main(["security", "--m", str(m), "--ensemble", ensemble, "--attack-trials", "100",
@@ -315,17 +325,17 @@ print(code, tracemalloc.get_traced_memory()[1])
 
 @pytest.mark.parametrize("ensemble", ["linear:180", "poincare:64,64,64"])
 def test_security_m8_heap_peak(ensemble):
-    # a 256 x 256 density is 0.5 MB. At its peak the report holds rho_00..0, one more
-    # density, their difference and hermitian_eig's scratch array: 3.08 MB for either
-    # ensemble with numpy 2.4 and Python 3.11, modules loaded after the start included.
-    # The peak moves with those versions, so the bound leaves 0.42 MB (14%); holding one
-    # more 0.5 MB array crosses it.
+    # no 2^m array is built on the report path: each weight-class density is at most
+    # 25 x 25, from a polar grid x 25 array (linear:180: 36 kB). The peak is 1.28 MB for
+    # either ensemble with numpy 2.4 and Python 3.11, modules loaded after the start
+    # included. The peak moves with those versions, so the bound leaves 0.32 MB (25%);
+    # one 256 x 256 density (0.5 MB) crosses it.
     proc = subprocess.run([sys.executable, "-c", HEAP_PEAK, "security", "--m", "8",
                            "--ensemble", ensemble, "--attack-trials", "1000"],
                           capture_output=True, text=True, timeout=120)
     code, peak = proc.stdout.split()
     assert code == "0", proc.stderr
-    assert int(peak) <= 3.5 * 2 ** 20, int(peak) / 2 ** 20
+    assert int(peak) <= 1.6 * 2 ** 20, int(peak) / 2 ** 20
 
 
 class TestReconstructCommand:

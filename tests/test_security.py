@@ -42,6 +42,7 @@ class TestEnsembles:
         assert LINEAR_180.label == "linear:180"
         assert POINCARE_64.label == "poincare:64,64,64"
         assert POINCARE_64.size == 64 ** 3
+        assert poincare_ensemble(2 ** 32, 64, 2 ** 32).size == 2 ** 70  # an int64 product wraps to 0
 
     def test_parse_errors(self):
         for bad in ("linear", "circle:4", "linear:a", "linear:2,3", "poincare:4,4", "poincare:0,1,1"):
@@ -197,17 +198,27 @@ class TestHolevo:
         with pytest.raises(ValueError, match=r"m must lie in \[1, 8\]"):
             weight_class_figures(9, linear_ensemble(4), 10, 0)
 
-    @pytest.mark.parametrize("label", ["linear:12", "linear:180", "poincare:64,64,64"])
+    @pytest.mark.parametrize("label", ["linear:1", "linear:2", "linear:12", "linear:180",
+                                       "poincare:64,64,64", "poincare:5,9,3", "poincare:2,17,1"])
     def test_weight_class_figures_match_the_direct_route(self, label):
-        # bit for bit: the same densities, entropies and distances as built one by one
+        # dual route: the weight-basis figures against the 2^m densities of encrypted_density
         ens = parse_ensemble(label)
         for m in range(1, 9):
             rho = [encrypted_density("0" * (m - w) + "1" * w, ens) for w in range(m + 1)]
             S = [von_neumann_entropy(r) for r in rho]
             T = [trace_distance(rho[0], r) for r in rho[1:min(3, m) + 1]]
             for entropies, distances in ((m + 1, min(3, m)), (1, 0), (0, min(3, m))):
-                assert weight_class_figures(m, ens, entropies, distances) == (
-                    S[:entropies], T[:distances]), (m, entropies, distances)
+                got_S, got_T = weight_class_figures(m, ens, entropies, distances)
+                assert len(got_S) == entropies and len(got_T) == distances
+                assert np.abs(np.subtract(got_S, S[:entropies])).max(initial=0) <= 1e-13, m
+                assert np.abs(np.subtract(got_T, T[:distances])).max(initial=0) <= 1e-14, m
+
+    def test_huge_azimuthal_grid(self):
+        # past m + 1 the azimuthal grid zeroes the same entries, even past the int64 range
+        huge = parse_ensemble(f"poincare:{10 ** 23},64,64")
+        for m in range(1, 9):
+            assert weight_class_figures(m, huge, m + 1, min(3, m)) == weight_class_figures(
+                m, parse_ensemble(f"poincare:{m + 1},64,64"), m + 1, min(3, m)), m
 
     def test_weight_class_figures_range(self):
         for entropies, distances in ((6, 0), (0, 5), (-1, 0)):
