@@ -78,8 +78,8 @@ def rotation_matrices(alpha, beta, gamma) -> np.ndarray:
     return out
 
 
-# at this grid and m = 8 encrypted_density builds (polar grid) x 2^m real arrays, about
-# 205 MB; a report's weight-class densities build (polar grid) x 25 at most, about 23 MB
+# at this grid and m = 8 a density builds (polar grid) x 25 real amplitudes at most, about
+# 23 MB, on every route
 MAX_POLAR_GRID = 65536
 
 

@@ -12,11 +12,11 @@ a global phase and cancels in |psi><psi|, and alpha multiplies entry (s, s')
 by e^{i alpha (|s| - |s'|)}, |s| being the popcount of basis index s. The
 mean over alpha_k = 2 pi k / d1 is 1 where d1 divides |s| - |s'| and 0
 elsewhere. A density is therefore a real average over the polar angle alone,
-masked for full-sphere keys, costing O(d 4^m) for linear:d and O(d2 4^m) for
-poincare:d1,d2,d3 in 2^m dimensions, independent of d1 * d3. Reports need only
-the weight classes 0^(m-w) 1^w, whose states lie in span{|a,b>} (a ones among
-the first m-w qubits, b among the last w), of (m-w+1)(w+1) <= 25 dimensions at
-m = 8.
+masked for full-sphere keys, independent of d1 * d3. The state of plaintext
+0^(m-w) 1^w lies in span{|a,b>} (a ones among the first m-w qubits, b among the
+last w), of D = (m-w+1)(w+1) <= 25 dimensions at m = 8, so its density costs
+O(d D^2) for linear:d and O(d2 D^2) for poincare:d1,d2,d3. Any plaintext of
+weight w is that density with its qubits permuted, written out in 2^m dimensions.
 """
 from __future__ import annotations
 
@@ -38,15 +38,6 @@ MAX_TRIALS = 10 ** 12
 MAX_ATTACK_QUBITS = 10 ** 4
 
 
-def _popcount_mask(m: int, d1: int) -> np.ndarray:
-    """True where d1 divides |s| - |s'| for basis indices s, s' of m qubits.
-
-    That is where |s| and |s'| leave one remainder mod d1: a boolean array, so
-    no 2^m x 2^m integer or float array is built on the way."""
-    residue = np.array([bin(s).count("1") % d1 for s in range(2 ** m)])
-    return residue[:, None] == residue[None, :]
-
-
 def require_qubits(m: int) -> None:
     """A density of m qubits is a 2^m x 2^m matrix: 1 <= m <= MAX_QUBITS."""
     if not 1 <= m <= MAX_QUBITS:
@@ -56,24 +47,22 @@ def require_qubits(m: int) -> None:
 def encrypted_density(x, ensemble: KeyEnsemble) -> np.ndarray:
     """Mixed state of the encrypted plaintext x, averaged over the key ensemble.
 
-    rho_x = (1/N) sum_k (x) R_k |P_x> <P_x| R_k^t, a 2^m x 2^m Hermitian
-    unit-trace matrix, evaluated as a real average over the polar angle only
-    (see the module docstring): rho_x = mask (.) (1/K) sum_k psi_k psi_k^T,
-    returned as a real symmetric float64 array.
+    rho_x = (1/N) sum_k (x) R_k |P_x> <P_x| R_k^t, a 2^m x 2^m Hermitian unit-trace
+    matrix, returned as a real symmetric float64 array. Basis state s, with a ones
+    where x has zeros and b where x has ones, carries 1/sqrt(C(m-w, a) C(w, b)) of
+    every key's amplitude on |a,b>, so rho_x is _weight_density(m, w) written out.
     """
     bits = as_bits(x)
-    m = len(bits)
+    m, w = len(bits), sum(bits)
     require_qubits(m)
-    theta = ensemble.polar_angles()
-    # bit b encrypts to column b of the real rotation by theta
-    rotations = rotation_matrices(0.0, 2 * theta, 0.0).real
-    psi = np.ones((theta.size, 1))
-    for b in bits:
-        psi = (psi[:, :, None] * rotations[:, None, :, b]).reshape(theta.size, -1)
-    rho = psi.T @ psi
-    rho /= theta.size  # in place: one 2^m x 2^m array per density
-    if ensemble.kind == "poincare":
-        rho *= _popcount_mask(m, ensemble.dims[0])  # each entry times 1.0 or 0.0
+    ones = np.array(bits, dtype=bool)
+    s = (np.arange(2 ** m)[:, None] >> np.arange(m - 1, -1, -1)) & 1  # qubit 0 is the top bit
+    a, b = s[:, ~ones].sum(axis=1), s[:, ones].sum(axis=1)
+    scale = 1 / np.sqrt([float(math.comb(m - w, i) * math.comb(w, j)) for i, j in zip(a, b)])
+    index = a * (w + 1) + b
+    rho = _weight_density(m, w, ensemble)[np.ix_(index, index)]  # one 2^m x 2^m array
+    rho *= scale[:, None]
+    rho *= scale
     return rho
 
 

@@ -25,6 +25,21 @@ def make_rng(seed=0):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
+def dense_density(x, ens):
+    """psi.T @ psi / K, times a float 0/1 popcount mask on the sphere: one 2^m product
+    state per polar angle, the reference route for encrypted_density's weight basis."""
+    theta = ens.polar_angles()
+    rotations = rotation_matrices(0.0, 2 * theta, 0.0).real
+    psi = np.ones((theta.size, 1))
+    for b in map(int, x):
+        psi = (psi[:, :, None] * rotations[:, None, :, b]).reshape(theta.size, -1)
+    rho = psi.T @ psi / theta.size
+    if ens.kind == "poincare":
+        weight = np.array([bin(s).count("1") for s in range(2 ** len(x))])
+        rho = rho * ((weight[:, None] - weight[None, :]) % ens.dims[0] == 0).astype(float)
+    return rho
+
+
 def holevo_bits(m, ensemble):
     """m - S(rho_0): the security report's holevo_bits, the Holevo quantity for flip-closed key sets."""
     return m - von_neumann_entropy(encrypted_density("0" * m, ensemble))
@@ -111,21 +126,34 @@ class TestEncryptedDensity:
     @pytest.mark.parametrize("ens", [linear_ensemble(12), LINEAR_180, poincare_ensemble(3, 9, 1),
                                      POINCARE_64], ids=lambda ens: ens.label)
     def test_in_place_route_matches_the_expression_bitwise(self, ens):
-        # psi.T @ psi / d, times a float 0/1 popcount mask on the sphere: the expression
-        # that the in-place normalization and the boolean mask replace
-        theta = ens.polar_angles()
-        rotations = rotation_matrices(0.0, 2 * theta, 0.0).real
+        # dual route: the weight-basis density written out in 2^m against the dense
+        # product states, also where the plaintext's ones are not next to each other
         for m in range(1, 9):
-            weight = np.array([bin(s).count("1") for s in range(2 ** m)])
-            mask = ((weight[:, None] - weight[None, :]) % ens.dims[0] == 0).astype(float)
-            for x in ("0" * m, ("0110" * 2)[:m], "1" * m):
-                psi = np.ones((theta.size, 1))
-                for b in map(int, x):
-                    psi = np.stack([np.kron(row, r[:, b]) for row, r in zip(psi, rotations)])
-                expected = psi.T @ psi / theta.size
-                if ens.kind == "poincare":
-                    expected = expected * mask
-                assert np.array_equal(encrypted_density(x, ens), expected), (ens.label, x)
+            for x in ("0" * m, ("0110" * 2)[:m], ("1001" * 2)[:m], ("0101" * 2)[:m], "1" * m):
+                err = np.max(np.abs(encrypted_density(x, ens) - dense_density(x, ens)))
+                assert err <= 1e-15, (ens.label, x, err)
+
+    @pytest.mark.parametrize("label", ["linear:7", "poincare:3,5,1"])
+    def test_bit_order_matches_per_key_average_past_five_qubits(self, label):
+        # which qubits the weight basis permutes: every 5th plaintext against the oracle
+        ens = parse_ensemble(label)
+        rots = ensemble_rotations(ens)
+        for m in range(6, 9):
+            for idx in range(0, 2 ** m, 5):
+                x = format(idx, f"0{m}b")
+                err = np.max(np.abs(encrypted_density(x, ens) - density_by_keys(x, rots)))
+                assert err <= 1e-12, (label, x, err)
+
+    def test_heap_bound_at_the_largest_polar_grid(self):
+        # the weight basis holds (polar grid) x 25 amplitudes, not (polar grid) x 2^m
+        ens = linear_ensemble(MAX_POLAR_GRID)
+        tracemalloc.start()
+        try:
+            encrypted_density("01101001", ens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20
 
     def test_poincare_density_ignores_gamma_grid(self):
         # gamma is a global phase of every encrypted product state, so the
@@ -201,10 +229,10 @@ class TestHolevo:
     @pytest.mark.parametrize("label", ["linear:1", "linear:2", "linear:12", "linear:180",
                                        "poincare:64,64,64", "poincare:5,9,3", "poincare:2,17,1"])
     def test_weight_class_figures_match_the_direct_route(self, label):
-        # dual route: the weight-basis figures against the 2^m densities of encrypted_density
+        # dual route: the weight-basis figures against the dense 2^m product-state densities
         ens = parse_ensemble(label)
         for m in range(1, 9):
-            rho = [encrypted_density("0" * (m - w) + "1" * w, ens) for w in range(m + 1)]
+            rho = [dense_density("0" * (m - w) + "1" * w, ens) for w in range(m + 1)]
             S = [von_neumann_entropy(r) for r in rho]
             T = [trace_distance(rho[0], r) for r in rho[1:min(3, m) + 1]]
             for entropies, distances in ((m + 1, min(3, m)), (1, 0), (0, min(3, m))):
