@@ -32,7 +32,7 @@ os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL
 
 import numpy as np  # noqa: E402
 
-from .numerics import finite_grid, positive_int, unitarize  # noqa: E402
+from .numerics import finite_grid, make_rng, positive_int, unitarize  # noqa: E402
 
 BUILTIN_DEVICES = ("identity4", "u1", "u2")
 ATTACK_CURVE_D = (2, 3, 4, 6, 12)
@@ -41,13 +41,6 @@ HOLEVO_REFERENCES = ("linear:12", "linear:180")
 # largest entrywise move a device file may take on projection to the nearest
 # unitary; the built-ins move 0.109 (u1) and 0.063 (u2)
 MAX_PROJECTION_DISTANCE = 0.25
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    """Single seed -> counter-based generator; the one check of every command's --seed."""
-    if seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed}")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 @dataclass
@@ -359,7 +352,7 @@ def cmd_reconstruct(args) -> tuple[str, int]:
     else:
         raise ValueError("reconstruct needs --device or --measurements")
 
-    result = reconstruct_unitary(meas, restarts=args.restarts, seed=args.seed,
+    result = reconstruct_unitary(meas, restarts=args.restarts, seed=rng,
                                  residual_threshold=args.threshold)
     recovered = result.unitary.matrix
 

@@ -76,6 +76,13 @@ def _grid_fault(value, shape, field):
         _grid_fault(entry, shape[1:], f"{field}[{i}]")
 
 
+def make_rng(seed: int) -> np.random.Generator:
+    """Single seed -> counter-based generator: the one place a seed becomes a stream."""
+    if seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed}")
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
 def require_unitary(U) -> np.ndarray:
     """U in its own real or complex dtype, after checking it is square, finite and unitary."""
     M = _as_square(U, "matrix")

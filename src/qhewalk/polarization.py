@@ -148,7 +148,9 @@ class KeyEnsemble:
         return PolarizationKey(2 * np.pi * k1 / d1, 2 * self.polar_angles(k2), 2 * np.pi * k3 / d3)
 
     def sample(self, random_source) -> PolarizationKey:
-        """Draw a key uniformly from the grid, one integer per axis in order."""
+        """Draw a key uniformly from the grid, one int64 draw per axis in order."""
+        if max(self.dims) > 2 ** 63:
+            raise ValueError(f"ensemble {self.label}: keys are drawn from axes of at most 2^63 points")
         return self.key(*(int(random_source.integers(d)) for d in self.dims))
 
 

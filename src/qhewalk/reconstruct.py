@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .numerics import finite_grid, finite_number, positive_int, require_unitary, unitarize
+from .numerics import finite_grid, finite_number, make_rng, positive_int, require_unitary, unitarize
 
 MAX_MODES = 8
 # far below numpy's Poisson limit (about 9.2e18 expected counts)
@@ -330,16 +330,16 @@ def require_threshold(residual_threshold: float, field: str) -> None:
         raise ValueError(f"{field} must be finite and >= 0, got {residual_threshold}")
 
 
-def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
+def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int | np.random.Generator = 0,
                         residual_threshold: float = 0.05) -> ReconstructionReport:
     """Recover the device unitary behind a MeasurementSet.
 
     Amplitudes start at sqrt(intensity); the (m-1)^2 free phases are fitted to
-    the measured visibilities by multi-start Levenberg-Marquardt. Restart 0
-    seeds |phase| estimates analytically from the first-input/first-output
-    anchored pairs; later restarts randomize the signs. The best restart is
-    projected to the closest unitary. Failure (best residual above the
-    finite, non-negative residual_threshold) is reported, not raised.
+    the visibilities by multi-start Levenberg-Marquardt. Restart 0 seeds |phase|
+    from the first-input/first-output anchored pairs; later restarts randomize
+    the signs from seed, an int >= 0 (make_rng's stream) or a Generator whose
+    stream they continue. The best restart is projected to the closest unitary;
+    failure (best residual above residual_threshold) is reported, not raised.
     """
     m = meas.mode_count
     require_modes(m)
@@ -386,7 +386,7 @@ def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int = 0,
                 c = -vmeas[a] * cmax[a] / den
                 est[j2 - 1, i2 - 1] = np.arccos(np.clip(c, -1.0, 1.0))
 
-    rng = np.random.default_rng(seed)
+    rng = seed if isinstance(seed, np.random.Generator) else make_rng(seed)
     best_x = best_cost = None
     used = 0
     for k in range(restarts):

@@ -110,7 +110,7 @@ def weight_class_figures(m: int, ensemble: KeyEnsemble, entropies: int, distance
     if not (0 <= entropies <= m + 1 and 0 <= distances <= m):
         raise ValueError(f"weights run over 0..{m}: {entropies} entropies, {distances} distances")
     S, T = [], []
-    for w in range(max(entropies, distances + 1)):
+    for w in range(0 if entropies else 1, max(entropies, distances + 1)):  # rho_0 if an entropy reads it
         rho = _weight_density(m, w, ensemble)
         if w < entropies:
             S.append(von_neumann_entropy(rho))

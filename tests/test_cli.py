@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhewalk.cli import main, unitary_to_payload
-from qhewalk.reconstruct import synthesize_measurements
+from qhewalk.cli import load_device, main, unitary_to_payload
+from qhewalk.numerics import make_rng
+from qhewalk.reconstruct import MeasurementNoise, reconstruct_unitary, synthesize_measurements
 from qhewalk.security import MAX_TRIALS
 from oracles import haar_unitary
 
@@ -55,6 +56,19 @@ class TestWalkCommand:
                           "--shots", "500", "--key", "haar", "--seed", "5")
         assert report["config"]["key"]["spec"] == "haar"
         assert 0.0 <= report["config"]["key"]["beta"] <= np.pi
+
+    @pytest.mark.parametrize("axis", [0, 2])
+    def test_haar_axis_bound(self, axis, capsys):
+        # a key is one int64 draw per axis: 2^63 points is the largest axis it can draw from
+        for points, code in ((2 ** 63, 0), (2 ** 63 + 1, 2)):
+            dims = ["2", "2", "2"]
+            dims[axis] = str(points)
+            assert main(["walk", "--device", "u1", "--input", "0110", "--shots", "10",
+                         "--key", "haar:" + ",".join(dims)]) == code
+            err = capsys.readouterr().err
+            if code:
+                assert f"poincare:{','.join(dims)}" in err and "2^63" in err, err
+                assert "int64" not in err and "high" not in err, err
 
     def test_csv_output(self):
         proc = run_cli("walk", "--device", "identity4", "--input", "0000",
@@ -420,6 +434,29 @@ class TestReconstructCommand:
             captured = capsys.readouterr()
             assert field in captured.err
             assert captured.out == ""
+
+    @staticmethod
+    def result_section(fit) -> dict:
+        return {"success": fit.success, "residual": fit.residual,
+                "restarts_used": fit.restarts_used, "unitary": unitary_to_payload(fit.unitary.matrix)}
+
+    def test_restarts_continue_the_report_stream(self, capsys):
+        # one Philox stream per report: the Poisson counts, then the restarts
+        assert main(["reconstruct", "--device", "u2", "--counts", "1000000", "--seed", "4"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        rng = make_rng(4)
+        meas = synthesize_measurements(load_device("u2").unitary, MeasurementNoise(1e6), rng)
+        assert report["result"] == self.result_section(reconstruct_unitary(meas, seed=rng))
+
+    def test_noiseless_restarts_draw_from_make_rng(self, capsys):
+        # an int seed is make_rng's stream: at seed 3 the second restart draws from it
+        assert main(["reconstruct", "--device", "u2", "--noise", "none", "--seed", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        meas = synthesize_measurements(load_device("u2").unitary)
+        fit = reconstruct_unitary(meas, seed=3)
+        assert fit.restarts_used > 1
+        assert report["result"] == self.result_section(fit)
+        assert report["result"] == self.result_section(reconstruct_unitary(meas, seed=make_rng(3)))
 
     def test_distinguishability_alone_is_not_counting_noise(self):
         report = run_json("reconstruct", "--device", "identity4", "--distinguishability", "0.9")
