@@ -222,12 +222,12 @@ def cmd_attack(args) -> tuple[str, int]:
 
     if args.m < 1:
         raise ValueError("m must be >= 1")
-    ds: list[int] = []
     if not args.asymptote_only:
         require_attack_qubits(args.m)  # before the m-bit plaintext is built
-        with in_field("d"):
-            # every key set is checked before the first trial is drawn
-            ds = [linear_ensemble(d).polar_size for d in parse_grid(args.d)]
+    with in_field("d"):
+        # every key set is checked before the first trial is drawn, and with no curve to draw
+        ds = [linear_ensemble(d).polar_size for d in parse_grid(args.d)]
+    ds = [] if args.asymptote_only else ds
     require_trials(args.trials, "trials")
     rng = make_rng(args.seed)
     plaintext = None
@@ -289,7 +289,7 @@ def cmd_security(args) -> tuple[str, int]:
     needs.update((label, (needs.get(label, (0, 0))[0], min(3, m))) for label in hedges)
     needs[ensemble.label] = (m + 1 if args.explicit else 1, min(3, m))
     S, T = {}, {}
-    for label, need in needs.items():  # one pass per ensemble: one's densities alive at a time
+    for label, need in needs.items():  # one pass per ensemble: one key table, one density alive
         S[label], T[label] = weight_class_figures(m, parse_ensemble(label), *need)
     distances = {label: {f"hamming_{w}": t for w, t in enumerate(T[label], 1)} for label in T}
 

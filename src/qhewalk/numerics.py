@@ -138,22 +138,16 @@ def permanent_naive(matrix) -> complex:
 def hermitian_eig(H) -> HermitianEigen:
     """Spectrum of a Hermitian matrix, eigenvalues ascending.
 
-    Rejects inputs whose max elementwise asymmetry |H - H^dagger| exceeds HERMITIAN_TOL.
-    One scratch array holds the asymmetry and then the symmetrized matrix; H is
-    never written.
+    Rejects inputs whose max elementwise asymmetry |H - H^dagger| exceeds HERMITIAN_TOL,
+    then solves (H + H^dagger) / 2; H is never written.
     """
     M = _as_square(H, "H")
-    work = np.empty_like(M)
-    np.subtract(M, np.conjugate(M.T, out=work), out=work)
-    # |z| lands in the real part of a complex scratch array; the imaginary part is 0
-    asym = float(np.abs(work, out=work).real.max()) if M.size else 0.0
+    asym = float(np.abs(M - M.conj().T).max()) if M.size else 0.0
     if asym > HERMITIAN_TOL:
         raise ValueError(
             f"matrix is not Hermitian: max asymmetry {asym:.3e} > {HERMITIAN_TOL:.1e}")
     # symmetrize first so roundoff-scale asymmetry cannot leak into the solver
-    np.add(M, np.conjugate(M.T, out=work), out=work)
-    work /= 2.0
-    return HermitianEigen(np.linalg.eigvalsh(work))
+    return HermitianEigen(np.linalg.eigvalsh((M + M.conj().T) / 2.0))
 
 
 def unitarize(M) -> np.ndarray:

@@ -130,6 +130,10 @@ class KeyEnsemble:
             return k * (np.pi / d)
         return np.arcsin(np.sqrt(k / max(d - 1, 1)))  # d2 = 1: index 0, the pole
 
+    def polar_rotations(self) -> np.ndarray:
+        """Real rotation by theta at each polar index, (polar_size, 2, 2): column b encrypts bit b."""
+        return rotation_matrices(0.0, 2 * self.polar_angles(), 0.0).real
+
     def key(self, *index) -> PolarizationKey:
         """Key at grid point (k,) of linear:d or (k1, k2, k3) of poincare:d1,d2,d3.
 

@@ -60,28 +60,27 @@ def encrypted_density(x, ensemble: KeyEnsemble) -> np.ndarray:
     a, b = s[:, ~ones].sum(axis=1), s[:, ones].sum(axis=1)
     scale = 1 / np.sqrt([float(math.comb(m - w, i) * math.comb(w, j)) for i, j in zip(a, b)])
     index = a * (w + 1) + b
-    rho = _weight_density(m, w, ensemble)[np.ix_(index, index)]  # one 2^m x 2^m array
+    rho = _weight_density(m, w, ensemble, ensemble.polar_rotations())[np.ix_(index, index)]
     rho *= scale[:, None]
     rho *= scale
     return rho
 
 
-def _weight_density(m: int, w: int, ensemble: KeyEnsemble, tail: int = 1) -> np.ndarray:
+def _weight_density(m: int, w: int, ensemble: KeyEnsemble, rotations: np.ndarray,
+                    tail: int = 1) -> np.ndarray:
     """Density of 0^(m-w) tail^w in the basis |a,b> of the module docstring, index a (w+1) + b.
 
-    n qubits carrying bit column (u, v) encrypt to sum_j sqrt(C(n, j)) u^(n-j) v^j |j ones>.
-    tail = 0 writes rho_0 in the basis of rho_w, for their trace distance."""
-    theta = ensemble.polar_angles()
-    rotations = rotation_matrices(0.0, 2 * theta, 0.0).real  # column b: how bit b encrypts
-    phi, pop = np.ones((theta.size, 1)), np.zeros(1, dtype=int)
+    rotations: ensemble.polar_rotations(). n qubits carrying bit column (u, v) encrypt to
+    sum_j sqrt(C(n, j)) u^(n-j) v^j |j ones>. tail = 0 writes rho_0 in rho_w's basis."""
+    phi, pop = np.ones((len(rotations), 1)), np.zeros(1, dtype=int)
     for n, bit in ((m - w, 0), (w, tail)):
         j = np.arange(n + 1)
         amp = np.sqrt([float(math.comb(n, k)) for k in j]) * (
             rotations[:, :1, bit] ** (n - j) * rotations[:, 1:, bit] ** j)
-        phi = (phi[:, :, None] * amp[:, None, :]).reshape(theta.size, -1)
+        phi = (phi[:, :, None] * amp[:, None, :]).reshape(len(phi), -1)
         pop = (pop[:, None] + j).ravel()
     rho = phi.T @ phi
-    rho /= theta.size
+    rho /= len(rotations)
     if ensemble.kind == "poincare":
         # popcounts a + b differ by at most m: any d1 > m keeps what modulus m + 1 keeps
         residue = pop % min(ensemble.dims[0], m + 1)
@@ -109,13 +108,13 @@ def weight_class_figures(m: int, ensemble: KeyEnsemble, entropies: int, distance
     require_qubits(m)  # the report's bound on m, though no 2^m array is built here
     if not (0 <= entropies <= m + 1 and 0 <= distances <= m):
         raise ValueError(f"weights run over 0..{m}: {entropies} entropies, {distances} distances")
-    S, T = [], []
+    S, T, rotations = [], [], ensemble.polar_rotations()  # one key table for the pass
     for w in range(0 if entropies else 1, max(entropies, distances + 1)):  # rho_0 if an entropy reads it
-        rho = _weight_density(m, w, ensemble)
+        rho = _weight_density(m, w, ensemble, rotations)
         if w < entropies:
             S.append(von_neumann_entropy(rho))
         if 1 <= w <= distances:  # rho_0 written in rho_w's basis
-            T.append(trace_distance(_weight_density(m, w, ensemble, tail=0), rho))
+            T.append(trace_distance(_weight_density(m, w, ensemble, rotations, tail=0), rho))
     return S, T
 
 

@@ -186,6 +186,10 @@ def test_rejections_name_the_field_or_file(tmp_path, capsys):
               (("attack", "--m", "10001"), "m must be <= 10000"),
               # no trial runs with --asymptote-only, but the count is still checked
               (("attack", "--m", "4", "--asymptote-only", "--trials", "-3"), "trials must be >= 1"),
+              # nor is a key set drawn from, but each is still checked
+              (("attack", "--m", "4", "--asymptote-only", "--d", "2,x"), "d:"),
+              (("attack", "--m", "4", "--asymptote-only", "--d", "0"), "d:"),
+              (("attack", "--m", "4", "--asymptote-only", "--d", "70000"), "d:"),
               # each bound is checked before the m-bit plaintext or the law is built
               (("attack", "--m", "1000000000"), "m must be <= 10000"),
               (("attack", "--m", "1" + "0" * 400, "--asymptote-only"), "m must be a finite number"),
@@ -313,9 +317,9 @@ def test_security_builds_each_density_once(m, ensemble, monkeypatch, capsys):
     import qhewalk.security as security
     density = security._weight_density
 
-    def counted(m, w, key_ensemble, tail=1):
+    def counted(m, w, key_ensemble, rotations, tail=1):
         built.append((m, w, tail, key_ensemble.label))
-        return density(m, w, key_ensemble, tail)
+        return density(m, w, key_ensemble, rotations, tail)
     monkeypatch.setattr(security, "_weight_density", counted)
     # --explicit reads the m + 1 weight classes of the report's ensemble, rho_0..rho_3 among them;
     # rho_0 in the basis of rho_w (tail 0) is a different matrix for each w

@@ -6,7 +6,7 @@ import pytest
 
 from qhewalk import reconstruct
 from qhewalk.cli import load_device
-from qhewalk.numerics import unitarize
+from qhewalk.numerics import make_rng, unitarize
 from qhewalk.reconstruct import (MAX_MODES, GaugeFixedUnitary, MeasurementNoise, MeasurementSet,
                                  all_pairs, canonical_form, compare_to_truth, reconstruct_unitary,
                                  synthesize_measurements)
@@ -20,10 +20,6 @@ U1 = unitarize(np.array([
     [0.42, -0.17 + 0.32j, 0.20 + 0.18j, -0.78 + 0.08j],
 ]))
 COUPLER = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-
-
-def make_rng(seed=0):
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def fit_functions(U):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qhewalk import security
+from qhewalk.numerics import make_rng
 from qhewalk.security import (MAX_POLAR_GRID, KeyEnsemble, attack_asymptote,
                               attack_success, encrypted_density,
                               hidden_bits_linear_asymptotic, holevo,
@@ -19,10 +20,6 @@ from oracles import (attack_by_rows, density_by_keys, ensemble_rotations, holevo
 
 LINEAR_180 = linear_ensemble(180)
 POINCARE_64 = poincare_ensemble(64, 64, 64)
-
-
-def make_rng(seed=0):
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def dense_density(x, ens):
@@ -340,7 +337,7 @@ class TestAttack:
         assert attack_asymptote(1 / math.pi) == pytest.approx(1.0, abs=1e-12)
 
     def test_simulation_with_trivial_key_set(self):
-        assert simulate_attack(4, 1, "0110", 500, make_rng()) == 1.0
+        assert simulate_attack(4, 1, "0110", 500, make_rng(0)) == 1.0
 
     def test_simulation_tracks_closed_form(self):
         trials = 100000
@@ -361,8 +358,10 @@ class TestAttack:
         # each on its own stream: two rates of one law, within 4 two-sample sigma
         trials = 20000
         plaintext = "01" * (m // 2) + "1" * (m % 2)
-        counts = simulate_attack(m, d, plaintext, trials, make_rng((1, m, d)))
-        rows = attack_by_rows(m, d, trials, make_rng((2, m, d)), trials)
+        def philox(seed):  # make_rng takes int seeds only; these streams are seeded by tuples
+            return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        counts = simulate_attack(m, d, plaintext, trials, philox((1, m, d)))
+        rows = attack_by_rows(m, d, trials, philox((2, m, d)), trials)
         p = attack_success(m, d)
         band = 4 * math.sqrt(2 * p * (1 - p) / trials)
         assert abs(counts - rows) <= band
@@ -386,11 +385,11 @@ class TestAttack:
 
     def test_simulation_validation(self):
         with pytest.raises(ValueError, match="plaintext length 3 != m = 4"):
-            simulate_attack(4, 2, "011", 10, make_rng())
+            simulate_attack(4, 2, "011", 10, make_rng(0))
         with pytest.raises(ValueError, match="trials must be >= 1"):
-            simulate_attack(4, 2, "0110", 0, make_rng())
+            simulate_attack(4, 2, "0110", 0, make_rng(0))
         with pytest.raises(ValueError, match="trials must be <="):
-            simulate_attack(4, 2, "0110", security.MAX_TRIALS + 1, make_rng())
+            simulate_attack(4, 2, "0110", security.MAX_TRIALS + 1, make_rng(0))
 
     def test_holevo_dominates_implied_information(self):
         for d in (2, 3, 4, 6, 12):

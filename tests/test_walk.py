@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2, chi2_contingency
 
 from qhewalk.cli import unitary_from_payload, unitary_to_payload
-from qhewalk.numerics import permanent, unitarize
+from qhewalk.numerics import make_rng, permanent, unitarize
 from qhewalk.polarization import linear_ensemble, sample_haar_key
 from qhewalk.walk import (MAX_SHOTS, NoiseModel, bhattacharyya_fidelity,
                           classical_output_distribution, occupation_labels, occupation_states,
@@ -279,10 +279,6 @@ class TestClassicalAndNoise:
             NoiseModel(higher_order_rate=-0.1)
 
 
-def make_rng(seed=0):
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
 def frequencies(result):
     """Each tallied occupation's share of the shots, in the tally's order."""
     return {occ: c / result.shots for occ, c in result.occupation_counts.items()}
@@ -290,7 +286,7 @@ def frequencies(result):
 
 class TestRunProtocol:
     def test_identity_returns_plaintext(self):
-        result = run_protocol(np.eye(4), "1010", linear_ensemble(1).key(0), 50, make_rng())
+        result = run_protocol(np.eye(4), "1010", linear_ensemble(1).key(0), 50, make_rng(0))
         assert result.occupation_counts == {(0, 1, 0, 1): 50}
         assert postselect(result.occupation_counts) == ({"1010": 1.0}, 0)
 
@@ -359,13 +355,13 @@ class TestRunProtocol:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="occupation length 3 != mode count 4"):
-            run_protocol(U1, "011", linear_ensemble(1).key(0), 10, make_rng())
+            run_protocol(U1, "011", linear_ensemble(1).key(0), 10, make_rng(0))
 
     def test_bad_shots(self):
         for shots in (0, MAX_SHOTS + 1):
             with pytest.raises(ValueError, match="shots"):
-                run_protocol(U1, "0111", linear_ensemble(1).key(0), shots, make_rng())
-        result = run_protocol(U1, "0111", linear_ensemble(1).key(0), MAX_SHOTS, make_rng())
+                run_protocol(U1, "0111", linear_ensemble(1).key(0), shots, make_rng(0))
+        result = run_protocol(U1, "0111", linear_ensemble(1).key(0), MAX_SHOTS, make_rng(0))
         assert sum(result.occupation_counts.values()) == MAX_SHOTS
 
     @pytest.mark.parametrize("U, plaintext, noise", [

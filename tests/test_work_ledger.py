@@ -68,15 +68,16 @@ CASES = {
                    {"permanent": (1716, 658944)}),
     # at m = 6 the report's ensemble and both hedges read T(rho_0, rho_w) for w = 1..3: rho_w
     # and rho_0 in its basis. Only the report's ensemble and linear:12 read S(rho_0), so a
-    # hedge that is not the report's ensemble builds no rho_0. m = 8 has no hedges.
+    # hedge that is not the report's ensemble builds no rho_0. m = 8 has no hedges. Each
+    # ensemble's pass builds one key table: one rotation_matrices call per ensemble.
     "security-m6-linear": (["security", "--m", "6", "--ensemble", "linear:180"],
-                           {"_weight_density": (14, 2598), "rotation_matrices": (14, None),
+                           {"_weight_density": (14, 2598), "rotation_matrices": (3, None),
                             "hermitian_eig": (8, 100), **ATTACK_CURVE}),
     "security-m6-poincare": (["security", "--m", "6", "--ensemble", "poincare:64,64,64"],
-                             {"_weight_density": (15, 2647), "rotation_matrices": (15, None),
+                             {"_weight_density": (15, 2647), "rotation_matrices": (3, None),
                               "hermitian_eig": (9, 107), **ATTACK_CURVE}),
     "security-m8-linear": (["security", "--m", "8", "--ensemble", "linear:180"],
-                           {"_weight_density": (8, 2708), "rotation_matrices": (8, None),
+                           {"_weight_density": (8, 2708), "rotation_matrices": (2, None),
                             "hermitian_eig": (5, 79), **ATTACK_CURVE}),
     "attack-m4": (["attack", "--m", "4"], ATTACK_CURVE),
     "reconstruct-u2-noisy": (["reconstruct", "--device", "u2", "--counts", "1000000"], {}),
