@@ -22,7 +22,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -276,13 +276,12 @@ def _attack_curve(m: int, ds, plaintext, trials: int, rng) -> list[dict]:
 def cmd_security(args) -> tuple[str, int]:
     from .polarization import parse_ensemble
     from .security import (hidden_bits_linear_asymptotic, holevo, holevo_poincare_limit,
-                           require_qubits, require_trials, weight_class_figures)
+                           require_trials, weight_class_figures)
 
-    require_qubits(args.m)  # before the m-bit plaintext is built; its message names m
     require_trials(args.attack_trials, "attack_trials")
     ensemble = parse_ensemble(args.ensemble)
     rng = make_rng(args.seed)
-    m = args.m
+    m = args.m  # weight_class_figures checks it before any density and the m-bit plaintext
 
     hedges = HEDGE_ENSEMBLES if m <= 6 else ()  # both candidate ensembles, side by side
     needs = dict.fromkeys(HOLEVO_REFERENCES, (1, 0))  # (entropies, distances) per ensemble
@@ -337,9 +336,8 @@ def cmd_reconstruct(args) -> tuple[str, int]:
         raise ValueError("--noise none contradicts --counts")
 
     # each message names its field, counts_scale or distinguishability, as the report echoes it
-    noise = MeasurementNoise(args.counts)
-    if args.distinguishability is not None:
-        noise = replace(noise, distinguishability=args.distinguishability)
+    noise = MeasurementNoise(args.counts, MeasurementNoise.distinguishability
+                             if args.distinguishability is None else args.distinguishability)
     require_threshold(args.threshold, "threshold")
     device = load_device(args.device) if args.device else None
 
@@ -426,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     attack = sub.add_parser("attack", help="random-basis eavesdropping success curve")
     attack.add_argument("--m", type=int, required=True)
-    attack.add_argument("--d", default="2,3,4,6,12", help="comma list of key-set sizes")
+    attack.add_argument("--d", default=",".join(map(str, ATTACK_CURVE_D)),
+                        help="comma list of key-set sizes")
     attack.add_argument("--plaintext", default=None, help="default all zeros")
     attack.add_argument("--trials", type=int, default=100000)
     attack.add_argument("--seed", type=int, default=0)

@@ -63,15 +63,17 @@ class MeasurementSet:
         I = np.asarray(self.intensities, dtype=float)
         if I.ndim != 2 or I.shape[0] != I.shape[1]:
             raise ValueError(f"intensities must be square, got shape {I.shape}")
-        if not np.all((I >= -1e-9) & (I <= 1.0 + 1e-6)):
-            raise ValueError("intensities must be finite and lie in [0, 1]")
+        for j, i in np.argwhere(~((I >= -1e-9) & (I <= 1.0 + 1e-6)))[:1]:  # first bad entry, NaN too
+            raise ValueError(f"intensities[{j}][{i}] must lie in [0, 1], got {I[j, i]}")
         object.__setattr__(self, "intensities", I)
         m = I.shape[0]
-        for (i, i2), (j, j2) in self.visibilities:
+        for key, v in self.visibilities.items():
+            (i, i2), (j, j2) = key
             if not (0 <= i < i2 < m and 0 <= j < j2 < m):
-                raise ValueError(f"bad visibility key (({i},{i2}),({j},{j2})) for m={m}")
-        if not all(abs(v) <= 1.0 + 1e-9 for v in self.visibilities.values()):
-            raise ValueError("visibilities must be finite and lie in [-1, 1]")
+                raise ValueError(f"visibilities[{key}] must pair modes "
+                                 f"0 <= i < i2 < {m} and 0 <= j < j2 < {m}")
+            if not abs(v) <= 1.0 + 1e-9:
+                raise ValueError(f"visibilities[{key}] must lie in [-1, 1], got {v}")
         MeasurementNoise(self.counts_scale)  # the one counts_scale rule
 
     @property
@@ -378,13 +380,12 @@ def reconstruct_unitary(meas: MeasurementSet, restarts: int = 16, seed: int | np
 
     # analytic |phase| seed: for pair ((0,i),(0,j)) the visibility depends
     # only on cos(phase_ji) once the gauge zeroes the anchoring entries
+    pi, pi2, pj, pj2 = idx
+    den = 2.0 * A[pj, pi] * A[pj2, pi2] * A[pj2, pi] * A[pj, pi2]
+    anchor = (pi == 0) & (pj == 0) & (den > 1e-12)
     est = np.zeros((m - 1, m - 1))
-    for a, ((i, i2), (j, j2)) in enumerate(pairs):
-        if i == 0 and j == 0:
-            den = 2.0 * A[j, i] * A[j2, i2] * A[j2, i] * A[j, i2]
-            if den > 1e-12:
-                c = -vmeas[a] * cmax[a] / den
-                est[j2 - 1, i2 - 1] = np.arccos(np.clip(c, -1.0, 1.0))
+    est[pj2[anchor] - 1, pi2[anchor] - 1] = np.arccos(
+        np.clip(-vmeas[anchor] * cmax[anchor] / den[anchor], -1.0, 1.0))
 
     rng = seed if isinstance(seed, np.random.Generator) else make_rng(seed)
     best_x = best_cost = None

@@ -25,9 +25,9 @@ import math
 import numpy as np
 
 from .numerics import finite_number, hermitian_eig
-# the key grids live in polarization and are re-exported here
+# the key grids live in polarization; MAX_POLAR_GRID and poincare_ensemble are re-exported here
 from .polarization import (MAX_POLAR_GRID, KeyEnsemble, as_bits,  # noqa: F401
-                           linear_ensemble, parse_ensemble, poincare_ensemble, rotation_matrices)
+                           linear_ensemble, poincare_ensemble)
 
 MAX_QUBITS = 8
 # a density's eigenvalues may dip this far below 0 and its trace stray this far from 1
@@ -105,7 +105,7 @@ def weight_class_figures(m: int, ensemble: KeyEnsemble, entropies: int, distance
     """S(rho_w) for w < entropies and T(rho_0, rho_w) for 1 <= w <= distances, as two lists.
 
     rho_w, the density of plaintext 0^(m-w) 1^w, is built once, in its weight basis."""
-    require_qubits(m)  # the report's bound on m, though no 2^m array is built here
+    require_qubits(m)  # the security report's one check of m, before any density is built
     if not (0 <= entropies <= m + 1 and 0 <= distances <= m):
         raise ValueError(f"weights run over 0..{m}: {entropies} entropies, {distances} distances")
     S, T, rotations = [], [], ensemble.polar_rotations()  # one key table for the pass

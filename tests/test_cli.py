@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -132,102 +133,173 @@ class TestDeviceFiles:
         assert "Traceback" not in proc.stderr
 
 
-def test_rejections_name_the_field_or_file(tmp_path, capsys):
-    not_json = tmp_path / "not-json.json"
-    not_json.write_text("U = [[1, 0], [0, 1]]\n")
-    deep = tmp_path / "deep.json"  # nested past the JSON parser's recursion limit
-    deep.write_text("[" * 200_000)
-    meas = tmp_path / "meas.json"
+class Refusal(NamedTuple):
+    """One input the command line refuses with exit 2, and the text its stderr must start
+    with (a text that starts 'error:') or contain. A bounded row refuses before work that
+    could hang the suite, so it runs only as a fresh process under a 10 s timeout. once:
+    a word the message holds exactly once (a flag's field is named once)."""
+    argv: tuple
+    text: str
+    bounded: bool = False
+    once: str = ""
+
+
+def refusals(tmp_path) -> list[Refusal]:
+    """The input contract's refusals, one row each, with the files they read in tmp_path."""
+    def write(name, payload):
+        path = tmp_path / name
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        return str(path)
+
+    not_json = write("not-json.json", "U = [[1, 0], [0, 1]]\n")
+    deep = write("deep.json", "[" * 200_000)  # nested past the JSON parser's recursion limit
     payload = synthesize_measurements(haar_unitary(3, np.random.default_rng(3))).to_payload()
-    meas.write_text(json.dumps(payload))
-    repeated = tmp_path / "repeated.json"
+    meas = write("meas.json", payload)
     payload["visibilities"].append(dict(payload["visibilities"][2], value=-0.9))
-    repeated.write_text(json.dumps(payload))
-    wide = tmp_path / "identity41.json"  # 6 walkers in 41 modes: 9,366,819 outcomes
-    wide.write_text(json.dumps(unitary_to_payload(np.eye(41))))
-    widest = tmp_path / "identity318.json"  # 2 walkers in 318 modes: 16,129,278 cells
-    widest.write_text(json.dumps(unitary_to_payload(np.eye(318))))
+    repeated = write("repeated.json", payload)
+    # 6 walkers in 41 modes: 9,366,819 outcomes; one mode past each corner of the law
+    # bound: 6 walkers in 21 modes, 2 walkers in 318 modes (16,129,278 cells)
+    wide, corner, widest = (write(f"identity{m}.json", unitary_to_payload(np.eye(m)))
+                            for m in (41, 21, 318))
     # a fit needs a mode pair; 100 modes would synthesize C(100, 2)^2 pair settings
-    one_mode, hundred_modes = tmp_path / "identity1.json", tmp_path / "identity100.json"
-    one_mode.write_text(json.dumps(unitary_to_payload(np.eye(1))))
-    hundred_modes.write_text(json.dumps(unitary_to_payload(np.eye(100))))
+    one_mode, hundred_modes = (write(f"identity{m}.json", unitary_to_payload(np.eye(m)))
+                               for m in (1, 100))
+    # one change each to a 2-mode measurement file
+    two = {"m": 2, "intensities": [[0.5, 0.5], [0.5, 0.5]],
+           "visibilities": [{"inputs": [0, 1], "outputs": [0, 1], "value": 1.0}]}
+    record = two["visibilities"][0]
+    negative_scale = write("negative-scale.json", dict(two, counts_scale=-5))
+    bad_key = write("bad-key.json", dict(two, visibilities=[dict(record, inputs=[1, 0])]))
+    bad_value = write("bad-value.json", dict(two, visibilities=[dict(record, value=1.5)]))
+    bad_intensity = write("bad-intensity.json", dict(two, intensities=[[0.5, 0.5], [0.5, 1.5]]))
     walk = ("walk", "--device", "identity4", "--input", "0101", "--shots", "10")
-    fit = ("reconstruct", "--measurements", str(meas), "--restarts", "1", "--threshold", "1e9")
-    cases = [((*walk, "--key", spec), "key")
-             for spec in ("linear:1/x", "linear:1/3/4", "haar:a,b,c", "euler:1,x,1")]
-    cases += [(("walk", "--device", str(not_json), "--input", "01"), str(not_json)),
-              (("reconstruct", "--measurements", str(not_json)), str(not_json)),
-              (("walk", "--device", str(deep), "--input", "01"), str(deep)),
-              (("reconstruct", "--measurements", str(deep)), str(deep)),
-              # synthesis flags cannot shape data read from a file
-              ((*fit, "--counts", "100"), "counts"),
-              ((*fit, "--distinguishability", "0.5"), "distinguishability"),
-              ((*fit, "--noise", "none"), "noise"),
-              (("attack", "--m", "2", "--d", "2,x"), "d:"),
-              (("attack", "--m", "2", "--d", "2,,3"), "d:"),
-              (("attack", "--m", "2", "--d", "0"), "d:"),
-              (("attack", "--m", "2", "--d", "70000"), "d:"),
-              (("attack", "--m", "2", "--d", "2,0"), "d:"),
-              (("walk", "--device", "u1", "--input", "011"), "input:"),
-              (("walk", "--device", "u1", "--input", "01a1"), "input:"),
-              # the library's message names the flag's field once
-              (("walk", "--device", "u1", "--input", "0110", "--visibility", "2"),
-               "error: hom_visibility must lie in"),
-              (("walk", "--device", "u1", "--input", "0110", "--higher-order-rate", "2"),
-               "error: higher_order_rate must lie in"),
-              (("reconstruct", "--device", "u1", "--distinguishability", "2"),
-               "error: distinguishability must lie in"),
-              (("reconstruct", "--device", "u1", "--counts", "0"),
-               "error: counts_scale must lie in"),
-              (("reconstruct", "--device", "u1", "--threshold", "nan"), "error: threshold must be"),
-              (("security", "--m", "9"), "error: m must lie in [1, 8]"),
-              (("security", "--m", "2", "--attack-trials", "0"), "error: attack_trials must be"),
-              # above MAX_ATTACK_QUBITS, checked before the first draw
-              (("attack", "--m", "10001"), "m must be <= 10000"),
-              # no trial runs with --asymptote-only, but the count is still checked
-              (("attack", "--m", "4", "--asymptote-only", "--trials", "-3"), "trials must be >= 1"),
-              # nor is a key set drawn from, but each is still checked
-              (("attack", "--m", "4", "--asymptote-only", "--d", "2,x"), "d:"),
-              (("attack", "--m", "4", "--asymptote-only", "--d", "0"), "d:"),
-              (("attack", "--m", "4", "--asymptote-only", "--d", "70000"), "d:"),
-              # each bound is checked before the m-bit plaintext or the law is built
-              (("attack", "--m", "1000000000"), "m must be <= 10000"),
-              (("attack", "--m", "1" + "0" * 400, "--asymptote-only"), "m must be a finite number"),
-              (("attack", "--m", str(10 ** 20)), "m must be <= 10000"),
-              (("security", "--m", "1000000000"), "error: m must lie in [1, 8]"),
-              (("security", "--m", str(10 ** 20)), "error: m must lie in [1, 8]"),
-              (("security", "--m", "0"), "error: m must lie in [1, 8]"),
-              (("walk", "--device", str(wide), "--input", "0" * 6 + "1" * 35), "input:"),
-              (("walk", "--device", str(widest), "--input", "00" + "1" * 316), "16129278 cells"),
-              # the law is refused before the device is read: this file does not exist
-              (("walk", "--device", str(tmp_path / "absent.json"), "--input", "00" + "1" * 316),
-               "16129278 cells"),
-              (("reconstruct", "--measurements", str(repeated)),
-               "'visibilities'[9] repeats the pairs of 'visibilities'[2]"),
-              (("reconstruct", "--device", "u1", "--counts", "1e300"),
-               "error: counts_scale must lie in"),
-              (("reconstruct", "--device", "u1", "--restarts", "1000000000"), "restarts must lie in"),
-              (("reconstruct", "--device", "u1", "--restarts", "0"), "restarts must lie in"),
-              (("reconstruct", "--device", str(one_mode)), "m must lie in [2, 8]"),
-              (("reconstruct", "--device", str(hundred_modes)), "m must lie in [2, 8]"),
-              # main alone writes --out; a path it cannot write exits 2 like bad input
-              (("devices", "--out", str(tmp_path / "missing" / "devices.json")),
-               str(tmp_path / "missing"))]
+    fit = ("reconstruct", "--measurements", meas, "--restarts", "1", "--threshold", "1e9")
+    rows = [Refusal((*walk, "--key", spec), "key")
+            for spec in ("linear:1/x", "linear:1/3/4", "haar:a,b,c", "euler:1,x,1")]
+    rows += [Refusal(("walk", "--device", not_json, "--input", "01"), not_json),
+             Refusal(("reconstruct", "--measurements", not_json), not_json),
+             Refusal(("walk", "--device", deep, "--input", "01"), deep, bounded=True),
+             Refusal(("reconstruct", "--measurements", deep), deep, bounded=True),
+             # synthesis flags cannot shape data read from a file
+             Refusal((*fit, "--counts", "100"), "counts"),
+             Refusal((*fit, "--distinguishability", "0.5"), "distinguishability"),
+             Refusal((*fit, "--noise", "none"), "noise"),
+             Refusal(("attack", "--m", "2", "--d", "2,x"), "d:"),
+             Refusal(("attack", "--m", "2", "--d", "2,,3"), "d:"),
+             Refusal(("attack", "--m", "2", "--d", "0"), "d:"),
+             Refusal(("attack", "--m", "2", "--d", "70000"), "d:"),
+             Refusal(("attack", "--m", "2", "--d", "2,0"), "d:"),
+             Refusal(("walk", "--device", "u1", "--input", "011"), "input:"),
+             Refusal(("walk", "--device", "u1", "--input", "01a1"), "input:"),
+             # the library's message names the flag's field once
+             Refusal(("walk", "--device", "u1", "--input", "0110", "--visibility", "2"),
+                     "error: hom_visibility must lie in", once="visibility"),
+             Refusal(("walk", "--device", "u1", "--input", "0110", "--higher-order-rate", "2"),
+                     "error: higher_order_rate must lie in"),
+             Refusal(("reconstruct", "--device", "u1", "--distinguishability", "2"),
+                     "error: distinguishability must lie in"),
+             Refusal(("reconstruct", "--device", "u1", "--counts", "0"),
+                     "error: counts_scale must lie in", once="counts"),
+             Refusal(("reconstruct", "--device", "u1", "--threshold", "nan"),
+                     "error: threshold must be"),
+             Refusal(("reconstruct", "--device", "u1", "--threshold", "-1"),
+                     "error: threshold must be", once="threshold"),
+             Refusal(("security", "--m", "9"), "error: m must lie in [1, 8]"),
+             Refusal(("security", "--m", "2", "--attack-trials", "0"),
+                     "error: attack_trials must be", once="trials"),
+             # above MAX_ATTACK_QUBITS, checked before the first draw
+             Refusal(("attack", "--m", "10001"), "m must be <= 10000", bounded=True),
+             # no trial runs with --asymptote-only, but the count is still checked
+             Refusal(("attack", "--m", "4", "--asymptote-only", "--trials", "-3"),
+                     "trials must be >= 1"),
+             # nor is a key set drawn from, but each is still checked
+             Refusal(("attack", "--m", "4", "--asymptote-only", "--d", "2,x"), "d:"),
+             Refusal(("attack", "--m", "4", "--asymptote-only", "--d", "0"), "d:"),
+             Refusal(("attack", "--m", "4", "--asymptote-only", "--d", "70000"), "d:"),
+             # each bound is checked before the m-bit plaintext or the law is built
+             Refusal(("attack", "--m", "1000000000"), "m must be <= 10000", bounded=True),
+             Refusal(("attack", "--m", "1" + "0" * 400, "--asymptote-only"),
+                     "m must be a finite number"),
+             Refusal(("attack", "--m", "1" + "0" * 4000, "--asymptote-only"),
+                     "error: m must be a finite number, got 1000", bounded=True),
+             Refusal(("attack", "--m", str(10 ** 20)), "m must be <= 10000"),
+             Refusal(("security", "--m", "1000000000"), "error: m must lie in [1, 8]",
+                     bounded=True),
+             Refusal(("security", "--m", str(10 ** 20)), "error: m must lie in [1, 8]"),
+             Refusal(("security", "--m", "0"), "error: m must lie in [1, 8]"),
+             Refusal(("walk", "--device", wide, "--input", "0" * 6 + "1" * 35), "input:",
+                     bounded=True),
+             Refusal(("walk", "--device", corner, "--input", "0" * 6 + "1" * 15),
+                     "error: input: 6 photons in 21 modes have 230230 outcomes", bounded=True),
+             Refusal(("walk", "--device", widest, "--input", "00" + "1" * 316), "16129278 cells",
+                     bounded=True),
+             # the law is refused before the device is read: this file does not exist
+             Refusal(("walk", "--device", str(tmp_path / "absent.json"), "--input",
+                      "00" + "1" * 316), "16129278 cells", bounded=True),
+             Refusal(("reconstruct", "--measurements", repeated),
+                     "'visibilities'[9] repeats the pairs of 'visibilities'[2]"),
+             # a measurement file's entries are named by index or by their mode pairs
+             Refusal(("reconstruct", "--measurements", bad_key),
+                     "error: visibilities[((1, 0), (0, 1))] must pair modes"),
+             Refusal(("reconstruct", "--measurements", bad_value),
+                     "error: visibilities[((0, 1), (0, 1))] must lie in [-1, 1], got 1.5"),
+             Refusal(("reconstruct", "--measurements", bad_intensity),
+                     "error: intensities[1][1] must lie in [0, 1], got 1.5"),
+             # a file's counts_scale obeys the --counts rule, (0, 1e18]
+             Refusal(("reconstruct", "--measurements", negative_scale),
+                     "error: counts_scale must lie in", bounded=True),
+             Refusal(("reconstruct", "--device", "u1", "--counts", "1e300"),
+                     "error: counts_scale must lie in", bounded=True),
+             Refusal(("reconstruct", "--device", "u1", "--restarts", "1000000000"),
+                     "restarts must lie in"),
+             Refusal(("reconstruct", "--device", "u1", "--restarts", "0"), "restarts must lie in"),
+             Refusal(("reconstruct", "--device", one_mode), "m must lie in [2, 8]", bounded=True),
+             Refusal(("reconstruct", "--device", hundred_modes), "m must lie in [2, 8]",
+                     bounded=True),
+             # main alone writes --out; a path it cannot write exits 2 like bad input
+             Refusal(("devices", "--out", str(tmp_path / "missing" / "devices.json")),
+                     str(tmp_path / "missing"))]
     # above MAX_TRIALS, and far beyond numpy's int64 range
     for trials in (str(MAX_TRIALS + 1), str(10 ** 19)):
-        cases += [(("attack", "--m", "1", "--d", "2", "--trials", trials), "error: trials must be"),
-                  (("attack", "--m", "4", "--asymptote-only", "--trials", trials),
-                   "error: trials must be"),
-                  (("security", "--m", "2", "--attack-trials", trials),
-                   "error: attack_trials must be")]
-    cases += [((*argv, "--seed", "-1"), "seed")
-              for argv in (walk, ("attack", "--m", "2"), ("security", "--m", "2"),
-                           ("reconstruct", "--device", "u1"))]
+        rows += [Refusal(("attack", "--m", "1", "--d", "2", "--trials", trials),
+                         "error: trials must be"),
+                 Refusal(("attack", "--m", "4", "--asymptote-only", "--trials", trials),
+                         "error: trials must be"),
+                 Refusal(("security", "--m", "2", "--attack-trials", trials),
+                         "error: attack_trials must be", bounded=trials == str(MAX_TRIALS + 1))]
+    rows += [Refusal((*argv, "--seed", "-1"), "seed")
+             for argv in (walk, ("attack", "--m", "2"), ("security", "--m", "2"),
+                          ("reconstruct", "--device", "u1"))]
+    return rows
+
+
+def assert_refused(row: Refusal, err: str) -> None:
+    if row.text.startswith("error:"):
+        assert err.startswith(row.text), (row.argv, err)
+    else:
+        assert row.text in err, (row.argv, err)
+    if row.once:
+        assert err.count(row.once) == 1, (row.argv, err)
+
+
+def test_rejections_name_the_field_or_file(tmp_path, capsys):
     # in process: an exception main does not turn into exit 2 fails the test outright
-    for argv, field in cases:
-        assert main(list(argv)) == 2, argv
-        err = capsys.readouterr().err
-        assert field in err, (argv, err)
+    for row in refusals(tmp_path):
+        if not row.bounded:
+            assert main(list(row.argv)) == 2, row.argv
+            assert_refused(row, capsys.readouterr().err)
+
+
+def test_bounded_rejections_exit_2_before_any_work(tmp_path):
+    # never in process: an input whose bound is lost fails here in 10 s instead of hanging
+    for row in refusals(tmp_path):
+        if row.bounded:
+            proc = subprocess.run([sys.executable, "-m", "qhewalk", *row.argv],
+                                  capture_output=True, text=True, timeout=10)
+            assert proc.returncode == 2, (row.argv, proc.stderr)
+            assert proc.stdout == "" and proc.stderr.startswith("error:"), (row.argv, proc.stderr)
+            assert "Traceback" not in proc.stderr, row.argv
+            assert_refused(row, proc.stderr)
 
 
 def test_rejected_huge_numbers_are_echoed_short(tmp_path):

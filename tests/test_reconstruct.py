@@ -234,6 +234,30 @@ class TestReconstruct:
             with pytest.raises(ValueError, match="residual_threshold"):
                 reconstruct_unitary(meas, residual_threshold=bad)
 
+    def test_analytic_seed_matches_the_per_pair_loop(self):
+        # restart 0 starts at the |phase| seed, set by one masked assignment; the loop
+        # below, one anchored pair at a time, does the same arithmetic, so the seeds are equal
+        sets = [synthesize_measurements(np.eye(4)), synthesize_measurements(U1),
+                synthesize_measurements(haar_unitary(8, np.random.default_rng(5)),
+                                        MeasurementNoise(1e4), make_rng(1))]
+        for meas in sets:
+            starts = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(reconstruct, "_levenberg_marquardt",
+                              lambda fun, jac, x0: (starts.append(x0), (x0, 0.0))[1])
+                reconstruct_unitary(meas, restarts=1)
+            m, pairs = meas.mode_count, sorted(meas.visibilities)
+            A = np.sqrt(np.clip(meas.intensities, 0.0, None))
+            cmax = reconstruct._distinguishable(A, reconstruct._pair_indices(pairs))
+            est = np.zeros((m - 1, m - 1))
+            for a, ((i, i2), (j, j2)) in enumerate(pairs):
+                if i == 0 and j == 0:
+                    den = 2.0 * A[j, i] * A[j2, i2] * A[j2, i] * A[j, i2]
+                    if den > 1e-12:
+                        c = -meas.visibilities[pairs[a]] * cmax[a] / den
+                        est[j2 - 1, i2 - 1] = np.arccos(np.clip(c, -1.0, 1.0))
+            assert np.array_equal(starts[0], est.ravel())
+
     def test_deterministic(self):
         meas = synthesize_measurements(
             U1, MeasurementNoise(counts_scale=1e4), make_rng(9))

@@ -8,11 +8,11 @@ import pytest
 
 from qhewalk import security
 from qhewalk.numerics import make_rng
+from qhewalk.polarization import parse_ensemble, rotation_matrices
 from qhewalk.security import (MAX_POLAR_GRID, KeyEnsemble, attack_asymptote,
                               attack_success, encrypted_density,
                               hidden_bits_linear_asymptotic, holevo,
-                              holevo_poincare_limit, linear_ensemble,
-                              parse_ensemble, poincare_ensemble, rotation_matrices,
+                              holevo_poincare_limit, linear_ensemble, poincare_ensemble,
                               simulate_attack, trace_distance, von_neumann_entropy,
                               weight_class_figures)
 from oracles import (attack_by_rows, density_by_keys, ensemble_rotations, holevo_by_definition,
