@@ -20,124 +20,78 @@ from qhewalk.security import MAX_TRIALS
 from oracles import haar_unitary
 
 
-def run_cli(*argv):
-    # an input that is unbounded again fails the suite instead of hanging it
-    return subprocess.run([sys.executable, "-m", "qhewalk", *argv],
-                          capture_output=True, text=True, timeout=120)
+def report(capsys, *argv, code=0) -> dict:
+    """A JSON report run in process through main, which must return code."""
+    assert main(list(argv)) == code, capsys.readouterr().err
+    return json.loads(capsys.readouterr().out)
 
 
-def run_json(*argv):
-    proc = run_cli(*argv)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+def fresh(*args, env=None) -> subprocess.CompletedProcess:
+    """[sys.executable, *args] in a fresh interpreter, for a test whose subject is the process:
+    its imports, its heap, its environment or its exit before any work. An input that is
+    unbounded again fails the suite within the timeout instead of hanging it."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=10)
 
 
 class TestWalkCommand:
-    def test_identity_device_returns_plaintext(self):
-        report = run_json("walk", "--device", "identity4", "--input", "1010", "--shots", "10")
-        assert report["empirical"]["bitstrings"] == {"1010": 1.0}
-        assert report["empirical"]["collisions"] == 0
-        assert report["exact"]["occupations"]["[0,1,0,1]"] == 1.0
+    def test_identity_device_returns_plaintext(self, capsys):
+        out = report(capsys, "walk", "--device", "identity4", "--input", "1010", "--shots", "10")
+        assert out["empirical"]["bitstrings"] == {"1010": 1.0}
+        assert out["empirical"]["collisions"] == 0
+        assert out["exact"]["occupations"]["[0,1,0,1]"] == 1.0
 
-    def test_single_walker_fidelity(self):
-        report = run_json("walk", "--device", "u1", "--input", "0111",
-                          "--shots", "100000", "--seed", "7")
-        assert report["fidelity"]["occupations"] >= 0.995
-        assert report["fidelity"]["bitstrings"] >= 0.995
+    def test_single_walker_fidelity(self, capsys):
+        out = report(capsys, "walk", "--device", "u1", "--input", "0111",
+                     "--shots", "100000", "--seed", "7")
+        assert out["fidelity"]["occupations"] >= 0.995
+        assert out["fidelity"]["bitstrings"] >= 0.995
 
-    def test_exact_distribution_is_key_independent(self):
-        base = run_json("walk", "--device", "u2", "--input", "0111",
-                        "--shots", "1000", "--key", "linear:0/1")
-        other = run_json("walk", "--device", "u2", "--input", "0111",
-                         "--shots", "1000", "--key", "linear:1/4")
+    def test_exact_distribution_is_key_independent(self, capsys):
+        base = report(capsys, "walk", "--device", "u2", "--input", "0111",
+                      "--shots", "1000", "--key", "linear:0/1")
+        other = report(capsys, "walk", "--device", "u2", "--input", "0111",
+                       "--shots", "1000", "--key", "linear:1/4")
         assert base["exact"] == other["exact"]
 
-    def test_haar_key_accepted(self):
-        report = run_json("walk", "--device", "u1", "--input", "0011",
-                          "--shots", "500", "--key", "haar", "--seed", "5")
-        assert report["config"]["key"]["spec"] == "haar"
-        assert 0.0 <= report["config"]["key"]["beta"] <= np.pi
+    def test_haar_key_accepted(self, capsys):
+        out = report(capsys, "walk", "--device", "u1", "--input", "0011",
+                     "--shots", "500", "--key", "haar", "--seed", "5")
+        assert out["config"]["key"]["spec"] == "haar"
+        assert 0.0 <= out["config"]["key"]["beta"] <= np.pi
 
     @pytest.mark.parametrize("axis", [0, 2])
     def test_haar_axis_bound(self, axis, capsys):
         # a key is one int64 draw per axis: 2^63 points is the largest axis it can draw from
-        for points, code in ((2 ** 63, 0), (2 ** 63 + 1, 2)):
-            dims = ["2", "2", "2"]
-            dims[axis] = str(points)
-            assert main(["walk", "--device", "u1", "--input", "0110", "--shots", "10",
-                         "--key", "haar:" + ",".join(dims)]) == code
-            err = capsys.readouterr().err
-            if code:
-                assert f"poincare:{','.join(dims)}" in err and "2^63" in err, err
-                assert "int64" not in err and "high" not in err, err
+        # (one point more is a row of refusals)
+        dims = ["2", "2", "2"]
+        dims[axis] = str(2 ** 63)
+        report(capsys, "walk", "--device", "u1", "--input", "0110", "--shots", "10",
+               "--key", "haar:" + ",".join(dims))
 
-    def test_csv_output(self):
-        proc = run_cli("walk", "--device", "identity4", "--input", "0000",
-                       "--shots", "10", "--csv")
-        assert proc.returncode == 0
-        lines = proc.stdout.strip().splitlines()
+    def test_csv_output(self, capsys):
+        assert main(["walk", "--device", "identity4", "--input", "0000", "--shots", "10",
+                     "--csv"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "outcome,exact,empirical"
         assert any(line.startswith('"[1,1,1,1]"') for line in lines[1:])
 
-    def test_input_length_mismatch_exits_2(self):
-        proc = run_cli("walk", "--device", "u1", "--input", "011", "--shots", "10")
-        assert proc.returncode == 2
-        assert "error:" in proc.stderr
-
-    def test_unknown_device_exits_2(self):
-        proc = run_cli("walk", "--device", "bogus", "--input", "0000", "--shots", "1")
-        assert proc.returncode == 2
-        assert "bogus" in proc.stderr
-
-    def test_bitstring_law_normalized_when_collisions_dominate(self, tmp_path):
+    def test_bitstring_law_normalized_when_collisions_dominate(self, tmp_path, capsys):
         # six walkers on eight Haar modes: about 2% of the law is collision-free
         U = haar_unitary(8, np.random.default_rng(0))
         path = tmp_path / "haar8.json"
         path.write_text(json.dumps({"m": 8, "unitary": [[[float(z.real), float(z.imag)] for z in row]
                                                         for row in U]}))
-        report = run_json("walk", "--device", str(path), "--input", "00000011", "--shots", "100")
-        assert report["exact"]["collision_probability"] > 0.95
-        assert abs(math.fsum(report["exact"]["bitstrings"].values()) - 1.0) <= 1e-15
-
-
-class TestDeviceFiles:
-    def write(self, tmp_path, payload, name="device.json"):
-        path = tmp_path / name
-        path.write_text(json.dumps(payload))
-        return str(path)
-
-    def test_boolean_fields_exit_2(self, tmp_path):
-        cases = [(("walk", "--device", self.write(tmp_path, payload, f"device{k}.json"),
-                   "--input", "0", "--shots", "10"), field)
-                 for k, (payload, field) in enumerate((
-                     ({"m": True, "unitary": [[[1, 0]]]}, "'m'"),
-                     ({"m": 1, "unitary": [[[True, False]]]}, "'unitary'[0][0][0]")))]
-        # work bounds: rejected before the arrays they would need are allocated
-        cases += [(("security", "--m", "8", "--ensemble", "linear:5000000"), "ensemble"),
-                  (("security", "--m", "8", "--ensemble", "poincare:3,5000000,1"), "ensemble"),
-                  (("walk", "--device", "u1", "--input", "0101", "--shots", "10000000000"),
-                   "shots")]
-        for argv, field in cases:
-            proc = run_cli(*argv)
-            assert proc.returncode == 2
-            assert field in proc.stderr
-            assert "Traceback" not in proc.stderr
-
-    def test_far_from_unitary_exits_2(self, tmp_path):
-        payload = {"m": 3, "unitary": [[[0.001 if i == j else 0.0, 0.0] for i in range(3)]
-                                       for j in range(3)]}
-        proc = run_cli("walk", "--device", self.write(tmp_path, payload),
-                       "--input", "011", "--shots", "10")
-        assert proc.returncode == 2
-        assert "projection_distance" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        out = report(capsys, "walk", "--device", str(path), "--input", "00000011", "--shots", "100")
+        assert out["exact"]["collision_probability"] > 0.95
+        assert abs(math.fsum(out["exact"]["bitstrings"].values()) - 1.0) <= 1e-15
 
 
 class Refusal(NamedTuple):
-    """One input the command line refuses with exit 2, and the text its stderr must start
-    with (a text that starts 'error:') or contain. A bounded row refuses before work that
-    could hang the suite, so it runs only as a fresh process under a 10 s timeout. once:
-    a word the message holds exactly once (a flag's field is named once)."""
+    """One input the command line refuses with exit 2 and empty stdout, and the text its
+    stderr must start with (a text that starts 'error:') or contain. A bounded row refuses
+    before work that could hang the suite, so it runs only as a fresh process under a 10 s
+    timeout. once: a word the message holds exactly once (a flag's field is named once)."""
     argv: tuple
     text: str
     bounded: bool = False
@@ -151,12 +105,21 @@ def refusals(tmp_path) -> list[Refusal]:
         path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         return str(path)
 
+    def edited(name, payload, *keys, value):
+        """Write a copy of a JSON payload whose entry at keys is value."""
+        payload = json.loads(json.dumps(payload))
+        node = payload
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        return write(name, payload)
+
     not_json = write("not-json.json", "U = [[1, 0], [0, 1]]\n")
     deep = write("deep.json", "[" * 200_000)  # nested past the JSON parser's recursion limit
-    payload = synthesize_measurements(haar_unitary(3, np.random.default_rng(3))).to_payload()
-    meas = write("meas.json", payload)
-    payload["visibilities"].append(dict(payload["visibilities"][2], value=-0.9))
-    repeated = write("repeated.json", payload)
+    good = synthesize_measurements(haar_unitary(3, np.random.default_rng(3))).to_payload()
+    meas = write("meas.json", good)
+    repeated = write("repeated.json", dict(good, visibilities=[
+        *good["visibilities"], dict(good["visibilities"][2], value=-0.9)]))
     # 6 walkers in 41 modes: 9,366,819 outcomes; one mode past each corner of the law
     # bound: 6 walkers in 21 modes, 2 walkers in 318 modes (16,129,278 cells)
     wide, corner, widest = (write(f"identity{m}.json", unitary_to_payload(np.eye(m)))
@@ -164,32 +127,55 @@ def refusals(tmp_path) -> list[Refusal]:
     # a fit needs a mode pair; 100 modes would synthesize C(100, 2)^2 pair settings
     one_mode, hundred_modes = (write(f"identity{m}.json", unitary_to_payload(np.eye(m)))
                                for m in (1, 100))
+    # a boolean is not a number, and a device must lie near a unitary
+    bool_m = write("bool-m.json", {"m": True, "unitary": [[[1, 0]]]})
+    bool_entry = write("bool-entry.json", {"m": 1, "unitary": [[[True, False]]]})
+    far = write("far.json", unitary_to_payload(0.001 * np.eye(3)))
     # one change each to a 2-mode measurement file
     two = {"m": 2, "intensities": [[0.5, 0.5], [0.5, 0.5]],
            "visibilities": [{"inputs": [0, 1], "outputs": [0, 1], "value": 1.0}]}
-    record = two["visibilities"][0]
-    negative_scale = write("negative-scale.json", dict(two, counts_scale=-5))
-    bad_key = write("bad-key.json", dict(two, visibilities=[dict(record, inputs=[1, 0])]))
-    bad_value = write("bad-value.json", dict(two, visibilities=[dict(record, value=1.5)]))
-    bad_intensity = write("bad-intensity.json", dict(two, intensities=[[0.5, 0.5], [0.5, 1.5]]))
+    negative_scale = edited("negative-scale.json", two, "counts_scale", value=-5)
+    bad_key = edited("bad-key.json", two, "visibilities", 0, "inputs", value=[1, 0])
+    bad_value = edited("bad-value.json", two, "visibilities", 0, "value", value=1.5)
+    bad_intensity = edited("bad-intensity.json", two, "intensities", 1, 1, value=1.5)
     walk = ("walk", "--device", "identity4", "--input", "0101", "--shots", "10")
     fit = ("reconstruct", "--measurements", meas, "--restarts", "1", "--threshold", "1e9")
     rows = [Refusal((*walk, "--key", spec), "key")
             for spec in ("linear:1/x", "linear:1/3/4", "haar:a,b,c", "euler:1,x,1")]
+    for dims in (f"{2 ** 63 + 1},2,2", f"2,2,{2 ** 63 + 1}"):
+        rows.append(Refusal(("walk", "--device", "u1", "--input", "0110", "--shots", "10",
+                             "--key", f"haar:{dims}"),
+                            f"error: key 'haar:{dims}': ensemble poincare:{dims}: "
+                            "keys are drawn from axes of at most 2^63 points"))
     rows += [Refusal(("walk", "--device", not_json, "--input", "01"), not_json),
              Refusal(("reconstruct", "--measurements", not_json), not_json),
              Refusal(("walk", "--device", deep, "--input", "01"), deep, bounded=True),
              Refusal(("reconstruct", "--measurements", deep), deep, bounded=True),
+             Refusal(("walk", "--device", bool_m, "--input", "0", "--shots", "10"),
+                     "error: 'm' must be an integer >= 1, got True"),
+             Refusal(("walk", "--device", bool_entry, "--input", "0", "--shots", "10"),
+                     "error: 'unitary'[0][0][0] must be a finite number, got True"),
+             Refusal(("walk", "--device", far, "--input", "011", "--shots", "10"),
+                     "error: device 'far' is not close to unitary: projection_distance 0.999 > 0.25"),
+             Refusal(("walk", "--device", "bogus", "--input", "0000", "--shots", "1"),
+                     "error: unknown device 'bogus'"),
+             Refusal(("devices", "--dump", "nope"), "error: unknown builtin device 'nope'"),
              # synthesis flags cannot shape data read from a file
              Refusal((*fit, "--counts", "100"), "counts"),
              Refusal((*fit, "--distinguishability", "0.5"), "distinguishability"),
              Refusal((*fit, "--noise", "none"), "noise"),
+             # nor can the noise flags contradict each other
+             Refusal(("reconstruct", "--device", "u1", "--noise", "none", "--counts", "100"),
+                     "error: --noise none contradicts --counts"),
+             Refusal(("reconstruct", "--device", "u1", "--noise", "poisson"),
+                     "error: --noise poisson requires --counts"),
              Refusal(("attack", "--m", "2", "--d", "2,x"), "d:"),
              Refusal(("attack", "--m", "2", "--d", "2,,3"), "d:"),
              Refusal(("attack", "--m", "2", "--d", "0"), "d:"),
              Refusal(("attack", "--m", "2", "--d", "70000"), "d:"),
              Refusal(("attack", "--m", "2", "--d", "2,0"), "d:"),
-             Refusal(("walk", "--device", "u1", "--input", "011"), "input:"),
+             Refusal(("walk", "--device", "u1", "--input", "011"),
+                     "error: input: plaintext length 3 != mode count 4"),
              Refusal(("walk", "--device", "u1", "--input", "01a1"), "input:"),
              # the library's message names the flag's field once
              Refusal(("walk", "--device", "u1", "--input", "0110", "--visibility", "2"),
@@ -200,8 +186,6 @@ def refusals(tmp_path) -> list[Refusal]:
                      "error: distinguishability must lie in"),
              Refusal(("reconstruct", "--device", "u1", "--counts", "0"),
                      "error: counts_scale must lie in", once="counts"),
-             Refusal(("reconstruct", "--device", "u1", "--threshold", "nan"),
-                     "error: threshold must be"),
              Refusal(("reconstruct", "--device", "u1", "--threshold", "-1"),
                      "error: threshold must be", once="threshold"),
              Refusal(("security", "--m", "9"), "error: m must lie in [1, 8]"),
@@ -216,7 +200,8 @@ def refusals(tmp_path) -> list[Refusal]:
              Refusal(("attack", "--m", "4", "--asymptote-only", "--d", "2,x"), "d:"),
              Refusal(("attack", "--m", "4", "--asymptote-only", "--d", "0"), "d:"),
              Refusal(("attack", "--m", "4", "--asymptote-only", "--d", "70000"), "d:"),
-             # each bound is checked before the m-bit plaintext or the law is built
+             # each bound is checked before the work it bounds: the m-bit plaintext, the
+             # key table, the shots or the law
              Refusal(("attack", "--m", "1000000000"), "m must be <= 10000", bounded=True),
              Refusal(("attack", "--m", "1" + "0" * 400, "--asymptote-only"),
                      "m must be a finite number"),
@@ -227,6 +212,14 @@ def refusals(tmp_path) -> list[Refusal]:
                      bounded=True),
              Refusal(("security", "--m", str(10 ** 20)), "error: m must lie in [1, 8]"),
              Refusal(("security", "--m", "0"), "error: m must lie in [1, 8]"),
+             Refusal(("security", "--m", "8", "--ensemble", "linear:5000000"),
+                     "error: ensemble linear:5000000 has a polar grid of 5000000 angles",
+                     bounded=True),
+             Refusal(("security", "--m", "8", "--ensemble", "poincare:3,5000000,1"),
+                     "error: ensemble poincare:3,5000000,1 has a polar grid of 5000000 angles",
+                     bounded=True),
+             Refusal(("walk", "--device", "u1", "--input", "0101", "--shots", "10000000000"),
+                     "error: shots must lie in [1, 10000000]", bounded=True),
              Refusal(("walk", "--device", wide, "--input", "0" * 6 + "1" * 35), "input:",
                      bounded=True),
              Refusal(("walk", "--device", corner, "--input", "0" * 6 + "1" * 15),
@@ -247,7 +240,7 @@ def refusals(tmp_path) -> list[Refusal]:
                      "error: intensities[1][1] must lie in [0, 1], got 1.5"),
              # a file's counts_scale obeys the --counts rule, (0, 1e18]
              Refusal(("reconstruct", "--measurements", negative_scale),
-                     "error: counts_scale must lie in", bounded=True),
+                     "error: counts_scale must lie in (0, 1e+18], got -5.0", bounded=True),
              Refusal(("reconstruct", "--device", "u1", "--counts", "1e300"),
                      "error: counts_scale must lie in", bounded=True),
              Refusal(("reconstruct", "--device", "u1", "--restarts", "1000000000"),
@@ -259,6 +252,36 @@ def refusals(tmp_path) -> list[Refusal]:
              # main alone writes --out; a path it cannot write exits 2 like bad input
              Refusal(("devices", "--out", str(tmp_path / "missing" / "devices.json")),
                      str(tmp_path / "missing"))]
+    rows += [Refusal(("reconstruct", "--device", "u1", "--restarts", "1", flag, value), text)
+             for flag, value, text in (
+                 ("--distinguishability", "1.5",
+                  "error: distinguishability must lie in [0, 1], got 1.5"),
+                 ("--distinguishability", "nan",
+                  "error: distinguishability must lie in [0, 1], got nan"),
+                 ("--threshold", "nan", "error: threshold must be finite and >= 0, got nan"))]
+    # one entry of a 3-mode measurement file, named by its place in the file
+    rows += [Refusal(("reconstruct", "--measurements",
+                      edited(f"malformed{k}.json", good, *keys, value=value)), text)
+             for k, (keys, value, text) in enumerate((
+                 (("intensities", 1, 2), math.nan,
+                  "error: 'intensities'[1][2] must be a finite number, got nan"),
+                 (("intensities", 0, 1), "0.5",
+                  "error: 'intensities'[0][1] must be a finite number, got '0.5'"),
+                 (("visibilities", 0, "inputs"), [0.2, 1.7],
+                  "error: 'visibilities'[0] 'inputs' and 'outputs' must be integer pairs"),
+                 (("visibilities", 0, "value"), "1.0",
+                  "error: 'visibilities'[0] 'value' must be a finite number, got '1.0'"),
+                 (("visibilities", 0, "value"), True,
+                  "error: 'visibilities'[0] 'value' must be a finite number, got True"),
+                 (("visibilities", 0, "value"), math.nan,
+                  "error: 'visibilities'[0] 'value' must be a finite number, got nan"),
+                 (("counts_scale",), math.inf,
+                  "error: 'counts_scale' must be a finite number, got inf"),
+                 (("counts_scale",), -math.inf,
+                  "error: 'counts_scale' must be a finite number, got -inf"),
+                 (("m",), True, "error: 'm' must be an integer >= 1, got True"),
+                 (("m",), 3.5, "error: 'm' must be an integer >= 1, got 3.5"),
+                 (("visibilities",), 5, "error: 'visibilities' must be a list of records")))]
     # above MAX_TRIALS, and far beyond numpy's int64 range
     for trials in (str(MAX_TRIALS + 1), str(10 ** 19)):
         rows += [Refusal(("attack", "--m", "1", "--d", "2", "--trials", trials),
@@ -287,15 +310,16 @@ def test_rejections_name_the_field_or_file(tmp_path, capsys):
     for row in refusals(tmp_path):
         if not row.bounded:
             assert main(list(row.argv)) == 2, row.argv
-            assert_refused(row, capsys.readouterr().err)
+            captured = capsys.readouterr()
+            assert captured.out == "", row.argv
+            assert_refused(row, captured.err)
 
 
 def test_bounded_rejections_exit_2_before_any_work(tmp_path):
     # never in process: an input whose bound is lost fails here in 10 s instead of hanging
     for row in refusals(tmp_path):
         if row.bounded:
-            proc = subprocess.run([sys.executable, "-m", "qhewalk", *row.argv],
-                                  capture_output=True, text=True, timeout=10)
+            proc = fresh("-m", "qhewalk", *row.argv)
             assert proc.returncode == 2, (row.argv, proc.stderr)
             assert proc.stdout == "" and proc.stderr.startswith("error:"), (row.argv, proc.stderr)
             assert "Traceback" not in proc.stderr, row.argv
@@ -309,77 +333,73 @@ def test_rejected_huge_numbers_are_echoed_short(tmp_path):
                          "error: m must be a finite number, got 1000"),
                         (("walk", "--device", str(device), "--input", "0"),
                          "error: 'unitary'[0][0][0] must be a finite number, got 1000")):
-        proc = run_cli(*argv)
+        proc = fresh("-m", "qhewalk", *argv)
         assert proc.returncode == 2, argv
         assert proc.stderr.startswith(field), proc.stderr
         assert len(proc.stderr.encode()) < 200, proc.stderr
 
 
 class TestAttackCommand:
-    def test_single_basis_always_succeeds(self):
-        report = run_json("attack", "--m", "4", "--d", "1", "--trials", "1000")
-        row = report["curve"][0]
+    def test_single_basis_always_succeeds(self, capsys):
+        row = report(capsys, "attack", "--m", "4", "--d", "1", "--trials", "1000")["curve"][0]
         assert row["p_exact"] == 1.0
         assert row["p_empirical"] == 1.0
 
-    def test_curve_within_three_sigma(self):
-        report = run_json("attack", "--m", "4", "--d", "2,3,4,6,12",
-                          "--trials", "100000", "--seed", "1")
-        for row in report["curve"]:
+    def test_curve_within_three_sigma(self, capsys):
+        out = report(capsys, "attack", "--m", "4", "--d", "2,3,4,6,12",
+                     "--trials", "100000", "--seed", "1")
+        for row in out["curve"]:
             sigma = (row["p_exact"] * (1 - row["p_exact"]) / row["trials"]) ** 0.5
             assert abs(row["p_empirical"] - row["p_exact"]) <= 3 * sigma
 
-    def test_asymptote_only(self):
-        report = run_json("attack", "--m", "3500", "--asymptote-only")
-        assert report["p_asymptote"] == pytest.approx(0.009536544540177922, abs=1e-15)
-        assert report["curve"] == []
-        assert report["config"]["plaintext"] is None
+    def test_asymptote_only(self, capsys):
+        out = report(capsys, "attack", "--m", "3500", "--asymptote-only")
+        assert out["p_asymptote"] == pytest.approx(0.009536544540177922, abs=1e-15)
+        assert out["curve"] == []
+        assert out["config"]["plaintext"] is None
         # the exact sum's m bound does not apply: only the closed form runs
         for m in (10 ** 6, 10 ** 20):
-            report = run_json("attack", "--m", str(m), "--asymptote-only")
-            assert report["p_asymptote"] == pytest.approx(1 / math.sqrt(math.pi * m), rel=1e-15)
+            out = report(capsys, "attack", "--m", str(m), "--asymptote-only")
+            assert out["p_asymptote"] == pytest.approx(1 / math.sqrt(math.pi * m), rel=1e-15)
 
-    def test_csv_output(self):
-        proc = run_cli("attack", "--m", "2", "--d", "2,4", "--trials", "100", "--csv")
-        assert proc.returncode == 0
-        lines = proc.stdout.strip().splitlines()
+    def test_csv_output(self, capsys):
+        assert main(["attack", "--m", "2", "--d", "2,4", "--trials", "100", "--csv"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "d,p_exact,p_empirical,stderr,trials"
         assert len(lines) == 3
 
 
 class TestSecurityCommand:
-    def test_linear_reference_value(self):
-        report = run_json("security", "--m", "4", "--ensemble", "linear:180")
-        assert abs(report["holevo_bits"] - 1.9694) <= 0.005
-        assert report["holevo_reference"]["linear:180"] == report["holevo_bits"]
-        td = report["trace_distances"]
+    def test_linear_reference_value(self, capsys):
+        out = report(capsys, "security", "--m", "4", "--ensemble", "linear:180")
+        assert abs(out["holevo_bits"] - 1.9694) <= 0.005
+        assert out["holevo_reference"]["linear:180"] == out["holevo_bits"]
+        td = out["trace_distances"]
         assert td["hamming_1"] == pytest.approx(td["hamming_3"], abs=1e-6)
-        assert "linear:180" in report["trace_distances_by_ensemble"]
-        assert "poincare:64,64,64" in report["trace_distances_by_ensemble"]
+        assert "linear:180" in out["trace_distances_by_ensemble"]
+        assert "poincare:64,64,64" in out["trace_distances_by_ensemble"]
 
-    def test_single_qubit_hides_everything(self):
-        report = run_json("security", "--m", "1", "--ensemble", "linear:2")
-        assert report["holevo_bits"] == pytest.approx(0.0, abs=1e-12)
-        assert list(report["trace_distances"]) == ["hamming_1"]
+    def test_single_qubit_hides_everything(self, capsys):
+        out = report(capsys, "security", "--m", "1", "--ensemble", "linear:2")
+        assert out["holevo_bits"] == pytest.approx(0.0, abs=1e-12)
+        assert list(out["trace_distances"]) == ["hamming_1"]
 
     def test_huge_azimuthal_grid(self, capsys):
         # d1 = 10^23 lies past the int64 range; at m = 2 it masks as d1 = 3 does
-        reports = []
-        for d1 in ("100000000000000000000000", "3"):
-            assert main(["security", "--m", "2", "--ensemble", f"poincare:{d1},64,64"]) == 0
-            reports.append(json.loads(capsys.readouterr().out))
+        reports = [report(capsys, "security", "--m", "2", "--ensemble", f"poincare:{d1},64,64")
+                   for d1 in ("100000000000000000000000", "3")]
         for field in ("holevo_bits", "trace_distances"):
             assert reports[0][field] == reports[1][field]
 
-    def test_explicit_flag(self):
-        report = run_json("security", "--m", "2", "--ensemble", "linear:6", "--explicit")
-        assert report["holevo_explicit_bits"] == pytest.approx(report["holevo_bits"], abs=1e-8)
+    def test_explicit_flag(self, capsys):
+        out = report(capsys, "security", "--m", "2", "--ensemble", "linear:6", "--explicit")
+        assert out["holevo_explicit_bits"] == pytest.approx(out["holevo_bits"], abs=1e-8)
 
-    def test_attack_curve_field(self):
-        report = run_json("security", "--m", "2", "--ensemble", "linear:8",
-                          "--attack-trials", "2000")
-        assert [row["d"] for row in report["attack_curve"]] == [2, 3, 4, 6, 12]
-        for row in report["attack_curve"]:
+    def test_attack_curve_field(self, capsys):
+        out = report(capsys, "security", "--m", "2", "--ensemble", "linear:8",
+                     "--attack-trials", "2000")
+        assert [row["d"] for row in out["attack_curve"]] == [2, 3, 4, 6, 12]
+        for row in out["attack_curve"]:
             assert set(row) == {"d", "p_exact", "p_empirical", "stderr"}
 
 
@@ -420,96 +440,48 @@ def test_security_m8_heap_peak(ensemble):
     # either ensemble with numpy 2.4 and Python 3.11, modules loaded after the start
     # included. The peak moves with those versions, so the bound leaves 0.32 MB (25%);
     # one 256 x 256 density (0.5 MB) crosses it.
-    proc = subprocess.run([sys.executable, "-c", HEAP_PEAK, "security", "--m", "8",
-                           "--ensemble", ensemble, "--attack-trials", "1000"],
-                          capture_output=True, text=True, timeout=120)
+    proc = fresh("-c", HEAP_PEAK, "security", "--m", "8", "--ensemble", ensemble,
+                 "--attack-trials", "1000")
     code, peak = proc.stdout.split()
     assert code == "0", proc.stderr
     assert int(peak) <= 1.6 * 2 ** 20, int(peak) / 2 ** 20
 
 
 class TestReconstructCommand:
-    def test_noiseless_round_trip(self):
-        report = run_json("reconstruct", "--device", "u1", "--noise", "none", "--seed", "3")
-        assert report["result"]["success"]
-        assert report["comparison"]["max_amplitude_error"] <= 1e-6
-        assert report["comparison"]["max_phase_error_rad"] <= 1e-6
+    def test_noiseless_round_trip(self, capsys):
+        out = report(capsys, "reconstruct", "--device", "u1", "--noise", "none", "--seed", "3")
+        assert out["result"]["success"]
+        assert out["comparison"]["max_amplitude_error"] <= 1e-6
+        assert out["comparison"]["max_phase_error_rad"] <= 1e-6
 
-    def test_identity_round_trip(self):
-        report = run_json("reconstruct", "--device", "identity4", "--noise", "none")
-        assert report["result"]["success"]
-        assert report["comparison"]["max_amplitude_error"] <= 1e-9
+    def test_identity_round_trip(self, capsys):
+        out = report(capsys, "reconstruct", "--device", "identity4", "--noise", "none")
+        assert out["result"]["success"]
+        assert out["comparison"]["max_amplitude_error"] <= 1e-9
 
-    def test_poisson_budget(self):
-        report = run_json("reconstruct", "--device", "u1", "--counts", "1000000", "--seed", "3")
-        assert report["result"]["success"]
-        assert report["comparison"]["max_amplitude_error"] <= 0.01
-        assert report["comparison"]["max_phase_error_rad"] <= 0.05
+    def test_poisson_budget(self, capsys):
+        out = report(capsys, "reconstruct", "--device", "u1", "--counts", "1000000", "--seed", "3")
+        assert out["result"]["success"]
+        assert out["comparison"]["max_amplitude_error"] <= 0.01
+        assert out["comparison"]["max_phase_error_rad"] <= 0.05
 
-    def test_measurements_file_round_trip(self, tmp_path):
-        synth = run_json("reconstruct", "--device", "u2", "--noise", "none")
+    def test_measurements_file_round_trip(self, tmp_path, capsys):
+        synth = report(capsys, "reconstruct", "--device", "u2", "--noise", "none")
         meas_path = tmp_path / "meas.json"
         meas_path.write_text(json.dumps(synth["measurements"]))
-        report = run_json("reconstruct", "--measurements", str(meas_path), "--device", "u2")
-        assert report["result"]["success"]
-        assert report["comparison"]["max_amplitude_error"] <= 1e-6
+        out = report(capsys, "reconstruct", "--measurements", str(meas_path), "--device", "u2")
+        assert out["result"]["success"]
+        assert out["comparison"]["max_amplitude_error"] <= 1e-6
 
-    def test_corrupt_measurements_exit_3(self, tmp_path):
-        synth = run_json("reconstruct", "--device", "u1", "--noise", "none")
-        payload = synth["measurements"]
+    def test_corrupt_measurements_exit_3(self, tmp_path, capsys):
+        payload = report(capsys, "reconstruct", "--device", "u1", "--noise", "none")["measurements"]
         for rec in payload["visibilities"]:
             rec["value"] = 0.93
         meas_path = tmp_path / "broken.json"
         meas_path.write_text(json.dumps(payload))
-        proc = run_cli("reconstruct", "--measurements", str(meas_path))
-        assert proc.returncode == 3
-        report = json.loads(proc.stdout)
-        assert not report["result"]["success"]
-        assert report["result"]["residual"] > report["config"]["threshold"]
-
-    def test_malformed_measurements_exit_2(self, tmp_path, capsys):
-        good = synthesize_measurements(haar_unitary(3, np.random.default_rng(4))).to_payload()
-        nan_intensity = json.loads(json.dumps(good))
-        nan_intensity["intensities"][1][2] = math.nan
-        nan_visibility = json.loads(json.dumps(good))
-        nan_visibility["visibilities"][0]["value"] = math.nan
-        string_intensity = json.loads(json.dumps(good))
-        string_intensity["intensities"][0][1] = "0.5"
-        record = good["visibilities"][0]
-        bad_records = [dict(record, inputs=[0.2, 1.7]), dict(record, value="1.0"),
-                       dict(record, value=True)]
-        path = tmp_path / "meas.json"
-        for payload, field in ((nan_intensity, "intensities"),
-                               (string_intensity, "intensities"),
-                               *((dict(good, visibilities=[rec]), "visibilities")
-                                 for rec in bad_records),
-                               (nan_visibility, "visibilities"),
-                               (dict(good, counts_scale=math.inf), "counts_scale"),
-                               (dict(good, counts_scale=-math.inf), "counts_scale"),
-                               (dict(good, counts_scale=-5), "counts_scale"),
-                               (dict(good, m=True), "'m'"),
-                               (dict(good, m=3.5), "'m'"),
-                               (dict(good, visibilities=5), "'visibilities'")):
-            path.write_text(json.dumps(payload))
-            assert main(["reconstruct", "--measurements", str(path)]) == 2
-            captured = capsys.readouterr()
-            assert field in captured.err
-            assert captured.out == ""
-
-    def test_contradictory_noise_flags_exit_2(self):
-        proc = run_cli("reconstruct", "--device", "u1", "--noise", "none", "--counts", "100")
-        assert proc.returncode == 2
-        proc = run_cli("reconstruct", "--device", "u1", "--noise", "poisson")
-        assert proc.returncode == 2
-
-    def test_out_of_range_flags_exit_2(self, capsys):
-        for flag, value, field in (("--distinguishability", "1.5", "distinguishability"),
-                                   ("--distinguishability", "nan", "distinguishability"),
-                                   ("--threshold", "nan", "threshold")):
-            assert main(["reconstruct", "--device", "u1", "--restarts", "1", flag, value]) == 2
-            captured = capsys.readouterr()
-            assert field in captured.err
-            assert captured.out == ""
+        out = report(capsys, "reconstruct", "--measurements", str(meas_path), code=3)
+        assert not out["result"]["success"]
+        assert out["result"]["residual"] > out["config"]["threshold"]
 
     @staticmethod
     def result_section(fit) -> dict:
@@ -534,60 +506,36 @@ class TestReconstructCommand:
         assert report["result"] == self.result_section(fit)
         assert report["result"] == self.result_section(reconstruct_unitary(meas, seed=make_rng(3)))
 
-    def test_distinguishability_alone_is_not_counting_noise(self):
-        report = run_json("reconstruct", "--device", "identity4", "--distinguishability", "0.9")
-        assert report["config"]["noise"] == "none"
-        assert report["measurements"]["counts_scale"] is None
+    def test_distinguishability_alone_is_not_counting_noise(self, capsys):
+        out = report(capsys, "reconstruct", "--device", "identity4", "--distinguishability", "0.9")
+        assert out["config"]["noise"] == "none"
+        assert out["measurements"]["counts_scale"] is None
 
 
 class TestDevicesCommand:
-    def test_list(self):
-        report = run_json("devices")
-        names = [d["name"] for d in report["devices"]]
+    def test_list(self, capsys):
+        out = report(capsys, "devices")
+        names = [d["name"] for d in out["devices"]]
         assert names == ["identity4", "u1", "u2"]
-        by_name = {d["name"]: d for d in report["devices"]}
+        by_name = {d["name"]: d for d in out["devices"]}
         assert by_name["identity4"]["projection_distance"] <= 1e-12
         assert by_name["u1"]["projection_distance"] == pytest.approx(0.109131, abs=1e-5)
 
-    def test_dump(self):
-        payload = run_json("devices", "--dump", "u2")
+    def test_dump(self, capsys):
+        payload = report(capsys, "devices", "--dump", "u2")
         assert payload["m"] == 4
         assert payload["unitary"][0][0] == [0.64, 0.0]
 
-    def test_dump_unknown(self):
-        proc = run_cli("devices", "--dump", "nope")
-        assert proc.returncode == 2
-
 
 class TestDeterminism:
-    def test_byte_identical_reruns(self):
-        cases = [
-            ("walk", "--device", "u1", "--input", "0110", "--shots", "5000", "--seed", "9"),
-            ("attack", "--m", "3", "--d", "2,5", "--trials", "5000", "--seed", "9"),
-            ("security", "--m", "2", "--ensemble", "linear:16", "--seed", "9"),
-            ("reconstruct", "--device", "u2", "--counts", "10000", "--seed", "9"),
-        ]
-        for argv in cases:
-            a, b = run_cli(*argv), run_cli(*argv)
-            assert a.returncode == b.returncode
-            assert a.stdout == b.stdout, f"non-deterministic output for {argv}"
-
-    def test_out_flag_writes_file(self, tmp_path):
+    # byte-identical reruns of every command are release-gate criterion 9
+    def test_out_flag_writes_file(self, tmp_path, capsys):
         path = tmp_path / "report.json"
-        proc = run_cli("walk", "--device", "identity4", "--input", "0101",
-                       "--shots", "10", "--out", str(path))
-        assert proc.returncode == 0
-        assert proc.stdout == ""
-        direct = run_cli("walk", "--device", "identity4", "--input", "0101", "--shots", "10")
-        assert path.read_text() == direct.stdout
-
-
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only reconstruct needs the optimizer, and importing it dominates start-up
-    code = "import sys, qhewalk.cli; print('scipy.optimize' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+        argv = ["walk", "--device", "identity4", "--input", "0101", "--shots", "10"]
+        assert main([*argv, "--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(argv) == 0
+        assert path.read_text() == capsys.readouterr().out
 
 
 # engine modules and heavy standard-library packages each subcommand may load
@@ -614,7 +562,7 @@ def loaded_modules(code: str) -> set[str]:
 print(*sorted(m.removeprefix("qhewalk.") for m in sys.modules
               if m.startswith("qhewalk.") or m in {WATCHED!r}))
 """
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = fresh("-c", code)
     assert proc.returncode == 0, proc.stderr
     return set(proc.stdout.split())
 
@@ -646,8 +594,7 @@ def test_reports_do_not_depend_on_the_blas_thread_count():
                    if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
             if threads is not None:
                 env["OPENBLAS_NUM_THREADS"] = threads
-            proc = subprocess.run([sys.executable, "-m", "qhewalk", *argv],
-                                  capture_output=True, env=env)
+            proc = fresh("-m", "qhewalk", *argv, env=env)
             assert proc.returncode == 0, proc.stderr
             outputs.add(proc.stdout)
         assert len(outputs) == 1, argv
@@ -671,7 +618,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     rc = main(["reconstruct", "--device", "u1", "--counts", "1000000", "--seed", "3"])
 print(rc, "scipy" in sys.modules)
 """
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = fresh("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False"]
 
