@@ -6,16 +6,21 @@
 Runs every argv in REPORTS in process against the ``qhewalk`` in this
 checkout's ``src/``, on one BLAS thread, and writes NAME.out (stdout, or the
 ``--out`` file for ``--csv`` reports) and, when the report fails or writes to
-stderr, NAME.err (exit code and stderr) into OUTDIR. Device files are written
-under OUTDIR and named by relative paths, so two checkouts give byte-identical
-files wherever their reports agree.
+stderr, NAME.err (exit code and stderr) into OUTDIR. The Haar 8-mode device
+files and a measurement file are written under OUTDIR/devices and named by
+relative paths, so two checkouts give byte-identical files wherever their
+reports agree.
 
-``--compare`` matches ``.err`` files byte for byte and every other file as a
-JSON or CSV report: the same structure, strings and booleans, and every number
-within TOLERANCE (relative, or absolute below magnitude 1). It prints each
-differing file with its largest deviation and exits 1 on any structural
-difference or any deviation above TOLERANCE. The file is not a test module;
-pytest does not collect it.
+``tests/test_cli.py`` writes the set twice, at ``PYTHONHASHSEED`` 1 with no
+BLAS thread variable set and at ``PYTHONHASHSEED`` 2 with each set to 2, and
+requires every file byte-identical: this is tier-1's determinism check.
+
+``--compare``, for the sets of two checkouts, matches ``.err`` files byte for
+byte and every other file as a JSON or CSV report: the same structure, strings
+and booleans, and every number within TOLERANCE (relative, or absolute below
+magnitude 1). It prints each differing file with its largest deviation and
+exits 1 on any structural difference or any deviation above TOLERANCE. The
+file is not a test module; pytest does not collect it.
 """
 from __future__ import annotations
 
@@ -36,9 +41,12 @@ from qhewalk.cli import main as qhewalk_main  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from qhewalk.numerics import make_rng  # noqa: E402
+from qhewalk.reconstruct import MeasurementNoise, synthesize_measurements  # noqa: E402
 from oracles import haar_unitary  # noqa: E402
 
 HAAR8_DEVICES = 3
+MEASUREMENTS = "devices/haar4-poisson-measurements.json"
 TOLERANCE = 1e-12
 WALK_NOISE = (("1.0", "0.0"), ("0.9", "0.0"), ("0.9", "0.01"), ("0.5", "0.2"))
 WALK_KEYS = ("linear:0/1", "linear:1/4", "haar", "euler:1.0,2.0,3.0")
@@ -92,23 +100,33 @@ REPORTS = _walks() + [
                                        "--explicit", "--attack-trials", "5000"]),
     ("security-m8-poincare-explicit", ["security", "--m", "8", "--ensemble", "poincare:64,64,64",
                                        "--explicit", "--attack-trials", "5000"]),
+    # m = 8 at the default attack trials
+    ("security-m8-linear180", ["security", "--m", "8", "--ensemble", "linear:180"]),
+    ("security-m8-poincare-explicit-default-trials",
+     ["security", "--m", "8", "--ensemble", "poincare:64,64,64", "--explicit"]),
     ("reconstruct-u1", ["reconstruct", "--device", "u1", "--noise", "none", "--seed", "1"]),
     ("reconstruct-u2-poisson", ["reconstruct", "--device", "u2", "--counts", "1e5",
                                 "--restarts", "4", "--seed", "2"]),
     ("reconstruct-haar8-poisson", ["reconstruct", "--device", "devices/haar8-0.json",
                                    "--counts", "1e5", "--seed", "5"]),
+    ("reconstruct-u2-distinguishability", ["reconstruct", "--device", "u2",
+                                           "--distinguishability", "0.9"]),
+    ("reconstruct-measurements-file", ["reconstruct", "--measurements", MEASUREMENTS]),
     ("devices", ["devices"]),
     ("devices-dump-u1", ["devices", "--dump", "u1"]),
 ]
 
 
-def write_haar_devices(outdir: Path) -> None:
+def write_inputs(outdir: Path) -> None:
+    """The Haar 8-mode device files and one measurement file, synthesized with Poisson counts."""
     rng = np.random.default_rng(808)
     (outdir / "devices").mkdir(parents=True, exist_ok=True)
     for k in range(HAAR8_DEVICES):
         U = haar_unitary(8, rng)
         payload = {"m": 8, "unitary": [[[float(z.real), float(z.imag)] for z in row] for row in U]}
         (outdir / "devices" / f"haar8-{k}.json").write_text(json.dumps(payload))
+    meas = synthesize_measurements(haar_unitary(4, rng), MeasurementNoise(1e6), make_rng(808))
+    (outdir / MEASUREMENTS).write_text(json.dumps(meas.to_payload()))
 
 
 class StructuralDifference(Exception):
@@ -196,7 +214,7 @@ def main(argv: list[str]) -> int:
         print("usage: python tests/golden_reports.py OUTDIR | --compare A B", file=sys.stderr)
         return 2
     outdir = Path(argv[0]).resolve()
-    write_haar_devices(outdir)
+    write_inputs(outdir)
     os.chdir(outdir)
     for name, report in REPORTS:
         out, err = io.StringIO(), io.StringIO()
